@@ -99,7 +99,8 @@ echo "== fault: elastic cluster runtime (ctest label) =="
 # The quick gate for cluster/fault.h + cluster/checkpoint.h changes:
 # FaultPlan env/seed resolution, checkpoint ring accounting, the
 # recovery session's failure/straggler machinery, and the cross-engine
-# bit-identity sweeps (TLAV PageRank/WCC, dist-GCN, TLAG triangles).
+# bit-identity sweeps (TLAV PageRank, frontier BFS/SSSP/WCC, dist-GCN,
+# TLAG triangles).
 (cd build && ctest -L fault --output-on-failure -j "${JOBS}")
 
 echo
@@ -111,10 +112,21 @@ echo "== tsan: recovery-parity + rebalance suites =="
     --gtest_filter='FaultParityTest.*:RebalanceTest.*'
 
 echo
+echo "== tsan + forced direction: recovery-parity + rebalance suites, push then pull =="
+# The frontier traversals (BFS/SSSP/WCC) checkpoint, roll back and
+# migrate at their step barrier; forcing every step to push and then to
+# pull runs each fault schedule against both step kinds' state.
+for mode in push pull; do
+  GAL_FRONTIER_MODE="${mode}" ./build-tsan/tests/gal_tests \
+      --gtest_filter='FaultParityTest.*:RebalanceTest.*'
+done
+
+echo
 echo "== forced fault schedule: parity suites with an injected failure =="
 # The env kill-switch end of the fault substrate: every TLAV job in the
-# reorder/SIMD parity suites picks up a checkpoint-every-2 schedule with
-# worker 0 failing at superstep 3, and all the bit-identity assertions
+# reorder/SIMD parity suites (PageRank on the message engine, BFS/SSSP/
+# WCC on the frontier substrate) picks up a checkpoint-every-2 schedule
+# with worker 0 failing at step 3, and all the bit-identity assertions
 # must still hold — recovery is invisible to results by construction.
 GAL_CLUSTER_FAULT_CHECKPOINT=2 GAL_CLUSTER_FAULT_FAIL=0@3 ./build/tests/gal_tests \
     --gtest_filter='GraphReorderTest.*:ReorderSimdParityTest.*:IntersectTest.*:SimdTest.*:CompressedCsrTest.*'

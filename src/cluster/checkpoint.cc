@@ -150,4 +150,35 @@ void RecoverySession::CommitMigration(
   stats_.migration_bytes += total_bytes;
 }
 
+std::vector<std::vector<VertexId>> VerticesByWorker(
+    const VertexPartition& partition) {
+  std::vector<std::vector<VertexId>> lists(partition.num_parts);
+  for (VertexId v = 0; v < partition.assignment.size(); ++v) {
+    lists[partition.assignment[v]].push_back(v);
+  }
+  return lists;
+}
+
+void MigrateAway(const Graph& g, uint32_t from,
+                 const std::function<uint64_t(VertexId)>& state_bytes,
+                 ClusterRuntime& cluster, RecoverySession& session,
+                 VertexPartition& partition,
+                 std::vector<std::vector<VertexId>>& worker_vertices) {
+  std::vector<VertexId> moved;
+  VertexPartition next =
+      RebalanceAway(g, partition, from,
+                    session.plan().rebalance().migrate_fraction, &moved);
+  if (moved.empty()) return;
+  std::vector<uint64_t> dst_bytes(partition.num_parts, 0);
+  for (VertexId v : moved) dst_bytes[next.assignment[v]] += state_bytes(v);
+  std::vector<std::pair<uint32_t, uint64_t>> per_dst;
+  for (uint32_t w = 0; w < partition.num_parts; ++w) {
+    if (dst_bytes[w] > 0) per_dst.emplace_back(w, dst_bytes[w]);
+  }
+  partition = std::move(next);
+  cluster.InstallPartition(partition);
+  worker_vertices = VerticesByWorker(partition);
+  session.CommitMigration(from, per_dst, moved.size());
+}
+
 }  // namespace gal

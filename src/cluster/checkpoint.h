@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <span>
 #include <string>
 #include <type_traits>
@@ -237,6 +238,23 @@ class RecoverySession {
   uint32_t migrations_done_ = 0;
   FaultStats stats_;
 };
+
+/// Per-worker vertex lists of `partition`, ascending within each worker.
+std::vector<std::vector<VertexId>> VerticesByWorker(
+    const VertexPartition& partition);
+
+/// Live rebalancing for the engines that place vertices by a
+/// VertexPartition (TLAV message engine, frontier traversals): sheds the
+/// plan's migrate_fraction of `from`'s vertices via RebalanceAway,
+/// installs the new partition on `cluster`, rebuilds `worker_vertices`,
+/// and books each moved vertex's `state_bytes(v)` through `session`.
+/// Both engines fold order-independently, so moving a vertex's home
+/// mid-run changes traffic and timing but never results.
+void MigrateAway(const Graph& g, uint32_t from,
+                 const std::function<uint64_t(VertexId)>& state_bytes,
+                 ClusterRuntime& cluster, RecoverySession& session,
+                 VertexPartition& partition,
+                 std::vector<std::vector<VertexId>>& worker_vertices);
 
 }  // namespace gal
 

@@ -39,8 +39,11 @@ struct DirectionConfig {
 
 /// Per-run direction chooser with the hysteresis the two thresholds
 /// encode: once pulling, keep pulling until the frontier is sparse again.
+/// Trivially copyable, so a checkpoint snapshots it by bytes and a
+/// replayed step picks the same direction.
 class DirectionController {
  public:
+  DirectionController() = default;
   DirectionController(const DirectionConfig& config, VertexId num_vertices)
       : config_(config), num_vertices_(num_vertices) {}
 
@@ -55,7 +58,7 @@ class DirectionController {
 
  private:
   DirectionConfig config_;
-  VertexId num_vertices_;
+  VertexId num_vertices_ = 0;
   Direction current_ = Direction::kPush;
   uint32_t switches_ = 0;
 };

@@ -5,6 +5,7 @@
 
 #include "common/threadpool.h"
 #include "common/timer.h"
+#include "graph/components.h"
 #include "partition/partition.h"
 
 namespace gal {
@@ -17,36 +18,60 @@ struct alignas(64) StepCounters {
   uint64_t active = 0;
 };
 
+/// A traversal's state at the step barrier, as checkpoints see it:
+/// `save` appends it to a snapshot and `load` reads it back in the same
+/// order.
+struct BarrierState {
+  std::function<void(BlobWriter&)> save;
+  std::function<void(BlobReader&)> load;
+};
+
 /// The simulated-cluster scaffolding every frontier traversal shares:
 /// worker count and partition resolution, per-worker vertex buckets,
-/// exchange lanes, and the ledger/clock bookkeeping of one step.
+/// exchange lanes, the ledger/clock bookkeeping of one step, and the
+/// fault-tolerance hooks at the step barrier. Step indices are 0-based
+/// and double as the RecoverySession's round numbers.
 class FrontierRuntime {
  public:
-  FrontierRuntime(const Graph& g, const FrontierEngineOptions& options)
-      : owned_(options.cluster == nullptr
+  /// `payload_bytes` is the size of one logical message (and of one
+  /// vertex's traversal value, which is what a migration moves).
+  FrontierRuntime(const Graph& g, const FrontierEngineOptions& options,
+                  uint64_t payload_bytes)
+      : graph_(g),
+        owned_(options.cluster == nullptr
                    ? std::make_unique<ClusterRuntime>(ClusterOptions{
                          ResolveClusterWorkers(options.num_workers),
                          NetworkCostModel{}})
                    : nullptr),
         cluster_(options.cluster != nullptr ? options.cluster : owned_.get()),
         workers_(cluster_->num_workers()),
+        payload_bytes_(payload_bytes),
+        wire_message_bytes_(payload_bytes + options.message_overhead_bytes),
         partition_(HashPartition(g, workers_)),
         pool_(std::min(workers_, ResolveTaskThreads(0))),
-        owned_vertices_(workers_),
+        owned_vertices_(VerticesByWorker(partition_)),
         counters_(workers_),
         wire_msgs_(workers_, std::vector<uint64_t>(workers_, 0)),
-        compute_seconds_(workers_, 0.0) {
+        compute_seconds_(workers_, 0.0),
+        ledger_start_(cluster_->ledger().Snapshot()),
+        clock_start_(cluster_->clock().rounds()),
+        session_(cluster_, options.faults) {
     cluster_->InstallPartition(partition_);
-    for (VertexId v = 0; v < g.NumVertices(); ++v) {
-      owned_vertices_[partition_.assignment[v]].push_back(v);
-    }
   }
 
   uint32_t workers() const { return workers_; }
-  ClusterRuntime& cluster() { return *cluster_; }
   uint32_t OwnerOf(VertexId v) const { return partition_.assignment[v]; }
   const std::vector<VertexId>& OwnedVertices(uint32_t w) const {
     return owned_vertices_[w];
+  }
+
+  /// Registers the traversal's barrier state and, when the fault plan
+  /// can fail a worker, snapshots it as the pre-step-0 rollback point.
+  void Start(BarrierState state) {
+    state_ = std::move(state);
+    if (session_.WantsInitialCheckpoint()) {
+      session_.Commit(RecoverySession::kInitialRound, Snapshot());
+    }
   }
 
   /// Runs fn(w) on every simulated worker (host threads are an
@@ -67,12 +92,16 @@ class FrontierRuntime {
     if (src != dst) ++wire_msgs_[src][dst];
   }
 
-  void BeginStep() {
+  /// Opens a step walking `dir` from a frontier of the given size.
+  void BeginStep(Direction dir, uint64_t frontier_vertices,
+                 uint64_t frontier_edges) {
+    step_ = FrontierStep{};
+    step_.direction = dir;
+    step_.frontier_vertices = frontier_vertices;
+    step_.frontier_edges = frontier_edges;
     for (StepCounters& c : counters_) c = StepCounters{};
     for (auto& row : wire_msgs_) std::fill(row.begin(), row.end(), 0);
     std::fill(compute_seconds_.begin(), compute_seconds_.end(), 0.0);
-    extra_wire_bytes_ = 0;
-    extra_wire_msgs_ = 0;
   }
 
   /// Charges an all-to-all broadcast of `bytes_per_pair` from every
@@ -84,76 +113,138 @@ class FrontierRuntime {
       for (uint32_t dst = 0; dst < workers_; ++dst) {
         if (src == dst) continue;
         ledger.Charge(src, dst, bytes_per_pair, 1);
-        extra_wire_bytes_ += bytes_per_pair;
-        ++extra_wire_msgs_;
+        step_.wire_bytes += bytes_per_pair;
+        ++step_.wire_messages;
       }
     }
   }
 
-  /// The step barrier: charges the step's wire traffic to the ledger,
-  /// advances the virtual clock one round, and folds the counters into
-  /// `stats` as one FrontierStep.
-  void EndStep(Direction dir, uint64_t frontier_vertices,
-               uint64_t frontier_edges, uint64_t wire_message_bytes,
-               FrontierTraversalStats& stats) {
-    FrontierStep step;
-    step.direction = dir;
-    step.frontier_vertices = frontier_vertices;
-    step.frontier_edges = frontier_edges;
+  /// The step barrier, called once the traversal has installed the next
+  /// frontier. Charges the step's wire traffic to the ledger, advances
+  /// the virtual clock one round (compute stretched by any scheduled
+  /// slowdown), and folds the counters into the run's stats. Then, in
+  /// RecoverySession order: checkpoint, failure rollback, rebalance.
+  /// Returns the index of the step to run next — `step + 1`, or the
+  /// replay point after a rollback.
+  uint32_t EndStep(uint32_t step) {
     for (const StepCounters& c : counters_) {
-      step.edges_scanned += c.edges;
-      step.messages += c.messages;
-      step.active_vertices += c.active;
+      step_.edges_scanned += c.edges;
+      step_.messages += c.messages;
+      step_.active_vertices += c.active;
     }
     TrafficLedger& ledger = cluster_->ledger();
     for (uint32_t src = 0; src < workers_; ++src) {
       for (uint32_t dst = 0; dst < workers_; ++dst) {
         const uint64_t msgs = wire_msgs_[src][dst];
         if (msgs == 0) continue;
-        ledger.Charge(src, dst, msgs * wire_message_bytes, msgs);
-        step.wire_messages += msgs;
-        step.wire_bytes += msgs * wire_message_bytes;
+        ledger.Charge(src, dst, msgs * wire_message_bytes_, msgs);
+        step_.wire_messages += msgs;
+        step_.wire_bytes += msgs * wire_message_bytes_;
       }
     }
-    step.wire_messages += extra_wire_msgs_;
-    step.wire_bytes += extra_wire_bytes_;
-    cluster_->clock().AdvanceRound(
-        std::span<const double>(compute_seconds_), step.wire_bytes,
-        step.wire_messages);
-    ++stats.steps;
-    if (dir == Direction::kPush) ++stats.push_steps;
-    else ++stats.pull_steps;
-    stats.edges_scanned += step.edges_scanned;
-    stats.messages += step.messages;
-    stats.vertex_activations += step.active_vertices;
-    stats.per_step.push_back(step);
+    session_.ScaleCompute(step, std::span<double>(compute_seconds_));
+    cluster_->clock().AdvanceRound(std::span<const double>(compute_seconds_),
+                                   step_.wire_bytes, step_.wire_messages);
+    ++stats_.steps;
+    if (step_.direction == Direction::kPush) ++stats_.push_steps;
+    else ++stats_.pull_steps;
+    stats_.edges_scanned += step_.edges_scanned;
+    stats_.messages += step_.messages;
+    stats_.vertex_activations += step_.active_vertices;
+    stats_.per_step.push_back(step_);
+
+    if (!session_.active()) return step + 1;
+    if (session_.ShouldCheckpoint(step)) session_.Commit(step, Snapshot());
+    uint32_t resume = 0;
+    if (const std::vector<uint8_t>* blob = session_.OnFailure(step, &resume)) {
+      Restore(*blob);
+      return resume;
+    }
+    if (session_.plan().rebalance().enabled) {
+      // Deterministic load signal: owned vertices, scaled inside the
+      // session by each worker's scheduled slowdown.
+      std::vector<double> load(workers_);
+      for (uint32_t w = 0; w < workers_; ++w) {
+        load[w] = static_cast<double>(owned_vertices_[w].size());
+      }
+      const uint32_t straggler =
+          session_.RebalanceCandidate(step, std::span<const double>(load));
+      if (straggler != RecoverySession::kNoWorker) {
+        // A moved vertex ships its value and its frontier bit.
+        MigrateAway(
+            graph_, straggler,
+            [&](VertexId) { return payload_bytes_ + 1; }, *cluster_,
+            session_, partition_, owned_vertices_);
+      }
+    }
+    return step + 1;
   }
 
-  /// Finalizes run-wide stats from the ledger/clock deltas.
-  void Finish(const TrafficSnapshot& ledger_start, size_t clock_start,
-              double wall_seconds, uint32_t switches,
-              FrontierTraversalStats& stats) {
+  /// Finalizes the run's stats from the ledger/clock deltas.
+  FrontierTraversalStats Finish(uint32_t switches) {
     const TrafficSnapshot end = cluster_->ledger().Snapshot();
-    stats.wire_messages = end.cross_messages - ledger_start.cross_messages;
-    stats.wire_bytes = end.cross_bytes - ledger_start.cross_bytes;
-    stats.modeled_seconds = cluster_->clock().SecondsSince(clock_start);
-    stats.wall_seconds = wall_seconds;
-    stats.direction_switches = switches;
+    stats_.wire_messages = end.cross_messages - ledger_start_.cross_messages;
+    stats_.wire_bytes = end.cross_bytes - ledger_start_.cross_bytes;
+    stats_.modeled_seconds = cluster_->clock().SecondsSince(clock_start_);
+    stats_.wall_seconds = timer_.ElapsedSeconds();
+    stats_.direction_switches = switches;
+    stats_.faults = session_.stats();
+    return std::move(stats_);
   }
 
  private:
+  /// The traversal's state plus the surviving step schedule's length.
+  std::vector<uint8_t> Snapshot() const {
+    BlobWriter w;
+    state_.save(w);
+    w.Pod(stats_.steps);
+    w.Pod(stats_.push_steps);
+    w.Pod(stats_.pull_steps);
+    return std::move(w).Take();
+  }
+
+  void Restore(const std::vector<uint8_t>& blob) {
+    BlobReader r(blob);
+    state_.load(r);
+    stats_.steps = r.Pod<uint32_t>();
+    stats_.push_steps = r.Pod<uint32_t>();
+    stats_.pull_steps = r.Pod<uint32_t>();
+    stats_.per_step.resize(stats_.steps);
+    GAL_CHECK(r.exhausted());
+  }
+
+  Timer timer_;
+  const Graph& graph_;
   std::unique_ptr<ClusterRuntime> owned_;
   ClusterRuntime* cluster_;
   uint32_t workers_;
+  uint64_t payload_bytes_;
+  uint64_t wire_message_bytes_;
   VertexPartition partition_;
   ThreadPool pool_;
   std::vector<std::vector<VertexId>> owned_vertices_;
   std::vector<StepCounters> counters_;
   std::vector<std::vector<uint64_t>> wire_msgs_;  // [src][dst], per step
-  uint64_t extra_wire_bytes_ = 0;  // broadcast traffic, per step
-  uint64_t extra_wire_msgs_ = 0;
   std::vector<double> compute_seconds_;
+  TrafficSnapshot ledger_start_;
+  size_t clock_start_;
+  RecoverySession session_;
+  BarrierState state_;
+  FrontierStep step_;  // the step in flight
+  FrontierTraversalStats stats_;
 };
+
+/// Appends a frontier's vertex list to a snapshot.
+void SaveFrontier(const VertexFrontier& frontier, BlobWriter& w) {
+  const std::span<const VertexId> verts = frontier.Vertices();
+  w.Vec(std::vector<VertexId>(verts.begin(), verts.end()));
+}
+
+/// Rebuilds a frontier (and its scout count) from a snapshot.
+void LoadFrontier(const Graph& g, BlobReader& r, VertexFrontier& frontier) {
+  frontier.Clear();
+  for (VertexId v : r.Vec<VertexId>()) frontier.Add(v, g.Degree(v));
+}
 
 /// Per-(src worker, dst worker) exchange lanes of one step, reused
 /// across steps. Only the owning src worker appends to its row.
@@ -199,13 +290,8 @@ FrontierBfsResult FrontierBfs(const Graph& g, VertexId source,
         std::to_string(n));
     return result;
   }
-  Timer timer;
-  FrontierRuntime rt(g, options);
+  FrontierRuntime rt(g, options, sizeof(VertexId));
   const uint32_t W = rt.workers();
-  const TrafficSnapshot ledger_start = rt.cluster().ledger().Snapshot();
-  const size_t clock_start = rt.cluster().clock().rounds();
-  const uint64_t wire_bytes_per_msg =
-      sizeof(VertexId) + options.message_overhead_bytes;
 
   std::vector<uint32_t>& dist = result.distance;
   dist.assign(n, kFrontierUnreachable);
@@ -216,17 +302,31 @@ FrontierBfsResult FrontierBfs(const Graph& g, VertexId source,
   uint64_t unexplored_edges = g.NumAdjacencyEntries() - g.Degree(source);
   DirectionController controller(options.direction, n);
   const Graph* reversed = nullptr;  // in-neighbor view, built at first pull
+  // With the frontier, the controller state and the unexplored mass
+  // restored, a replayed step picks the same direction.
+  rt.Start({[&](BlobWriter& w) {
+              w.Vec(dist);
+              SaveFrontier(frontier, w);
+              w.Pod(controller);
+              w.Pod(unexplored_edges);
+            },
+            [&](BlobReader& r) {
+              dist = r.Vec<uint32_t>();
+              LoadFrontier(g, r, frontier);
+              controller = r.Pod<DirectionController>();
+              unexplored_edges = r.Pod<uint64_t>();
+            }});
 
   Lanes<VertexId> lanes(W);
   std::vector<std::vector<VertexId>> buckets(W);
   std::vector<std::vector<VertexId>> next_lane(W);
 
-  uint32_t level = 0;
-  while (!frontier.Empty() && level < options.max_steps) {
-    ++level;
+  uint32_t step = 0;
+  while (!frontier.Empty() && step < options.max_steps) {
+    const uint32_t level = step + 1;
     const Direction dir = controller.Next(
         frontier.EdgeCount(), frontier.VertexCount(), unexplored_edges);
-    rt.BeginStep();
+    rt.BeginStep(dir, frontier.VertexCount(), frontier.EdgeCount());
 
     if (dir == Direction::kPush) {
       BucketByOwner(rt, frontier.Vertices(), buckets);
@@ -297,13 +397,11 @@ FrontierBfsResult FrontierBfs(const Graph& g, VertexId source,
       next_lane[w].clear();
     }
     unexplored_edges -= next.EdgeCount();
-    rt.EndStep(dir, frontier.VertexCount(), frontier.EdgeCount(),
-               wire_bytes_per_msg, result.stats);
     frontier.Swap(next);
+    step = rt.EndStep(step);
   }
 
-  rt.Finish(ledger_start, clock_start, timer.ElapsedSeconds(),
-            controller.switches(), result.stats);
+  result.stats = rt.Finish(controller.switches());
   return result;
 }
 
@@ -315,17 +413,14 @@ FrontierWccResult FrontierWcc(const Graph& g,
   // cached symmetrized view.
   const Graph& ug = g.UndirectedView();
   const VertexId n = ug.NumVertices();
-  Timer timer;
-  FrontierRuntime rt(ug, options);
+  FrontierRuntime rt(ug, options, sizeof(VertexId));
   const uint32_t W = rt.workers();
-  const TrafficSnapshot ledger_start = rt.cluster().ledger().Snapshot();
-  const size_t clock_start = rt.cluster().clock().rounds();
-  const uint64_t wire_bytes_per_msg =
-      sizeof(VertexId) + options.message_overhead_bytes;
 
   std::vector<VertexId>& label = result.component;
   label.resize(n);
   std::iota(label.begin(), label.end(), 0);
+  // Equal to `label` at every step barrier; a step writes improvements
+  // here first so its reads see the previous step's labels.
   std::vector<VertexId> next_label = label;
 
   VertexFrontier frontier(n), next(n);
@@ -334,6 +429,17 @@ FrontierWccResult FrontierWcc(const Graph& g,
   // whole edge set: pull once the frontier covers > 1/alpha of it.
   const uint64_t total_edges = ug.NumAdjacencyEntries();
   DirectionController controller(options.direction, n);
+  rt.Start({[&](BlobWriter& w) {
+              w.Vec(label);
+              SaveFrontier(frontier, w);
+              w.Pod(controller);
+            },
+            [&](BlobReader& r) {
+              label = r.Vec<VertexId>();
+              next_label = label;
+              LoadFrontier(ug, r, frontier);
+              controller = r.Pod<DirectionController>();
+            }});
 
   struct LabelMsg {
     VertexId dst;
@@ -343,12 +449,11 @@ FrontierWccResult FrontierWcc(const Graph& g,
   std::vector<std::vector<VertexId>> buckets(W);
   std::vector<std::vector<VertexId>> next_lane(W);
 
-  uint32_t steps = 0;
-  while (!frontier.Empty() && steps < options.max_steps) {
-    ++steps;
+  uint32_t step = 0;
+  while (!frontier.Empty() && step < options.max_steps) {
     const Direction dir = controller.Next(
         frontier.EdgeCount(), frontier.VertexCount(), total_edges);
-    rt.BeginStep();
+    rt.BeginStep(dir, frontier.VertexCount(), frontier.EdgeCount());
 
     if (dir == Direction::kPush) {
       BucketByOwner(rt, frontier.Vertices(), buckets);
@@ -412,22 +517,12 @@ FrontierWccResult FrontierWcc(const Graph& g,
       }
       next_lane[w].clear();
     }
-    rt.EndStep(dir, frontier.VertexCount(), frontier.EdgeCount(),
-               wire_bytes_per_msg, result.stats);
     frontier.Swap(next);
+    step = rt.EndStep(step);
   }
 
-  std::vector<uint8_t> seen(n, 0);
-  uint32_t components = 0;
-  for (VertexId v = 0; v < n; ++v) {
-    if (!seen[label[v]]) {
-      seen[label[v]] = 1;
-      ++components;
-    }
-  }
-  result.num_components = components;
-  rt.Finish(ledger_start, clock_start, timer.ElapsedSeconds(),
-            controller.switches(), result.stats);
+  result.num_components = CountComponents(label);
+  result.stats = rt.Finish(controller.switches());
   return result;
 }
 
@@ -443,13 +538,8 @@ FrontierSsspResult FrontierSssp(const Graph& g, VertexId source,
     return result;
   }
   constexpr uint64_t kInf = std::numeric_limits<uint64_t>::max();
-  Timer timer;
-  FrontierRuntime rt(g, options);
+  FrontierRuntime rt(g, options, sizeof(uint64_t));
   const uint32_t W = rt.workers();
-  const TrafficSnapshot ledger_start = rt.cluster().ledger().Snapshot();
-  const size_t clock_start = rt.cluster().clock().rounds();
-  const uint64_t wire_bytes_per_msg =
-      sizeof(uint64_t) + options.message_overhead_bytes;
 
   std::vector<uint64_t>& dist = result.distance;
   dist.assign(n, kInf);
@@ -460,6 +550,14 @@ FrontierSsspResult FrontierSssp(const Graph& g, VertexId source,
   // bitmap dedup of re-improved vertices).
   VertexFrontier frontier(n), next(n);
   frontier.Add(source, g.Degree(source));
+  rt.Start({[&](BlobWriter& w) {
+              w.Vec(dist);
+              SaveFrontier(frontier, w);
+            },
+            [&](BlobReader& r) {
+              dist = r.Vec<uint64_t>();
+              LoadFrontier(g, r, frontier);
+            }});
   // One dedup bitmap PER drain worker: workers own disjoint vertices,
   // but bits of different owners share 64-bit words, so a single
   // shared bitmap would make the drain phase's read-modify-writes race
@@ -474,10 +572,10 @@ FrontierSsspResult FrontierSssp(const Graph& g, VertexId source,
   std::vector<std::vector<VertexId>> buckets(W);
   std::vector<std::vector<VertexId>> next_lane(W);
 
-  uint32_t steps = 0;
-  while (!frontier.Empty() && steps < options.max_steps) {
-    ++steps;
-    rt.BeginStep();
+  uint32_t step = 0;
+  while (!frontier.Empty() && step < options.max_steps) {
+    rt.BeginStep(Direction::kPush, frontier.VertexCount(),
+                 frontier.EdgeCount());
     BucketByOwner(rt, frontier.Vertices(), buckets);
     rt.ForEachWorker([&](uint32_t w) {
       StepCounters& c = rt.counters(w);
@@ -517,13 +615,11 @@ FrontierSsspResult FrontierSssp(const Graph& g, VertexId source,
       }
       next_lane[w].clear();
     }
-    rt.EndStep(Direction::kPush, frontier.VertexCount(),
-               frontier.EdgeCount(), wire_bytes_per_msg, result.stats);
     frontier.Swap(next);
+    step = rt.EndStep(step);
   }
 
-  rt.Finish(ledger_start, clock_start, timer.ElapsedSeconds(), 0,
-            result.stats);
+  result.stats = rt.Finish(0);
   return result;
 }
 

@@ -5,7 +5,9 @@
 #include <limits>
 #include <vector>
 
+#include "cluster/checkpoint.h"
 #include "cluster/cluster.h"
+#include "cluster/fault.h"
 #include "common/status.h"
 #include "frontier/direction.h"
 #include "frontier/frontier.h"
@@ -26,6 +28,15 @@ inline constexpr uint32_t kFrontierUnreachable =
 struct FrontierEngineOptions {
   DirectionConfig direction = DirectionConfig::FromEnv();
   ClusterRuntime* cluster = nullptr;
+  /// The shared fault-tolerance schedule (cluster/fault.h), driven
+  /// through one RecoverySession at the step barrier: checkpoints
+  /// snapshot the per-vertex array, the frontier and the direction
+  /// state; failures roll back and replay; stragglers stretch the
+  /// modeled round; rebalancing migrates vertices. Results are
+  /// bit-identical to the fault-free run. The default resolves
+  /// GAL_CLUSTER_FAULT_* (empty plan when unset); an empty plan costs
+  /// nothing per step.
+  FaultPlan faults = FaultPlan::FromEnvOrWarn();
   /// Simulated workers when `cluster` is null (0 = GAL_CLUSTER_WORKERS,
   /// else 4 — the same default every engine config uses).
   uint32_t num_workers = 0;
@@ -55,7 +66,9 @@ struct FrontierStep {
 /// Run totals; wire fields are this run's TrafficLedger delta and
 /// modeled seconds this run's VirtualClock delta, exactly like
 /// TlavStats, so push-only and direction-optimizing rows land on one
-/// comparable axis.
+/// comparable axis. After a rollback, `per_step` and the step and
+/// direction counts describe the surviving schedule, while the work
+/// totals (edges, messages, activations) include the replayed steps.
 struct FrontierTraversalStats {
   uint32_t steps = 0;
   uint32_t push_steps = 0;
@@ -69,6 +82,7 @@ struct FrontierTraversalStats {
   double wall_seconds = 0.0;
   double modeled_seconds = 0.0;
   std::vector<FrontierStep> per_step;
+  FaultStats faults;  // the run's RecoverySession accounting
 };
 
 /// Direction-optimizing BFS (Beamer-style): push steps scatter the

@@ -1,8 +1,5 @@
 #include "tlav/algos/batched_queries.h"
 
-#include <algorithm>
-
-#include "common/logging.h"
 #include "tlav/algos/traversal.h"
 
 namespace gal {
@@ -56,12 +53,24 @@ BatchedBfsResult BatchedBfsQueries(const Graph& g,
                                    const TlavConfig& config) {
   BatchedBfsResult result;
   result.queries = static_cast<uint32_t>(sources.size());
+  // Sources arrive as original ids; the engine runs in the (possibly
+  // reordered) internal layout. An out-of-range source matches no
+  // vertex and its row stays unreachable.
+  std::vector<VertexId> internal_sources;
+  internal_sources.reserve(sources.size());
+  for (VertexId s : sources) {
+    internal_sources.push_back(s < g.NumVertices() ? g.InternalId(s)
+                                                   : kInvalidVertex);
+  }
   result.distances.assign(sources.size(),
                           std::vector<uint32_t>(g.NumVertices(),
                                                 kUnreachable));
   TlavEngine<uint8_t, QueryMsg> engine(&g, config);
-  BatchedBfsProgram program(&sources, &result.distances);
+  BatchedBfsProgram program(&internal_sources, &result.distances);
   result.stats = engine.Run(program);
+  for (std::vector<uint32_t>& row : result.distances) {
+    row = g.MapToOriginal(std::move(row));
+  }
   return result;
 }
 
@@ -70,15 +79,11 @@ BatchedBfsResult SequentialBfsQueries(const Graph& g,
                                       const TlavConfig& config) {
   BatchedBfsResult result;
   result.queries = static_cast<uint32_t>(sources.size());
-  // Force push-only so this stays the one-query-per-run message-engine
-  // baseline the batched (Quegel-style) engine is measured against;
-  // direction-optimizing runs would change the per-query message counts.
-  TraversalOptions per_query;
-  per_query.engine = config;
-  per_query.direction.mode = DirectionMode::kPushOnly;
+  // The same vertex program with one query per run: the per-query BSP
+  // schedule the batched run's superstep sharing is measured against.
   for (VertexId s : sources) {
-    BfsResult one = TlavBfs(g, s, per_query);
-    result.distances.push_back(std::move(one.distance));
+    BatchedBfsResult one = BatchedBfsQueries(g, {s}, config);
+    result.distances.push_back(std::move(one.distances[0]));
     result.stats.supersteps += one.stats.supersteps;
     result.stats.total_messages += one.stats.total_messages;
     result.stats.cross_worker_messages += one.stats.cross_worker_messages;

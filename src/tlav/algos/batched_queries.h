@@ -26,8 +26,9 @@ BatchedBfsResult BatchedBfsQueries(const Graph& g,
                                    const std::vector<VertexId>& sources,
                                    const TlavConfig& config = {});
 
-/// Baseline: the same queries as independent engine runs (one BSP
-/// schedule each). Returns summed stats for comparison.
+/// Baseline: the same queries as independent one-query batches (one
+/// BSP schedule each) on the message engine. Returns summed stats for
+/// comparison.
 BatchedBfsResult SequentialBfsQueries(const Graph& g,
                                       const std::vector<VertexId>& sources,
                                       const TlavConfig& config = {});

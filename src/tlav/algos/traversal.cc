@@ -2,7 +2,9 @@
 
 #include <algorithm>
 
-#include "tlav/algos/frontier_bridge.h"
+#include "frontier/traversal.h"
+#include "graph/components.h"
+#include "tlav/algos/wcc.h"
 
 namespace gal {
 namespace {
@@ -16,77 +18,44 @@ Status ValidateSource(const Graph& g, VertexId source) {
   return Status::Ok();
 }
 
-struct BfsProgram : public VertexProgram<uint32_t, uint32_t> {
-  explicit BfsProgram(VertexId source) : source_(source) {}
+/// The frontier-substrate options a traversal configured with `options`
+/// runs under.
+FrontierEngineOptions ToFrontierOptions(const TraversalOptions& options) {
+  FrontierEngineOptions frontier;
+  frontier.direction = options.direction;
+  frontier.cluster = options.engine.cluster;
+  frontier.num_workers = options.engine.num_workers;
+  frontier.message_overhead_bytes = options.engine.message_overhead_bytes;
+  frontier.max_steps = options.engine.max_supersteps;
+  frontier.faults = options.engine.faults;
+  return frontier;
+}
 
-  void Compute(VertexHandle<uint32_t, uint32_t>& v,
-               std::span<const uint32_t> messages) override {
-    if (v.superstep() == 0) {
-      v.value() = kUnreachable;
-      if (v.id() == source_) {
-        v.value() = 0;
-        v.SendToAllNeighbors(1);
-      }
-      v.VoteToHalt();
-      return;
-    }
-    uint32_t best = v.value();
-    for (uint32_t m : messages) best = std::min(best, m);
-    if (best < v.value()) {
-      v.value() = best;
-      v.SendToAllNeighbors(best + 1);
-    }
-    v.VoteToHalt();
+/// Folds frontier run totals into the TlavStats shape, fault accounting
+/// included. `payload_bytes` is sizeof the logical message; total bytes
+/// add `message_overhead_bytes` per message.
+TlavStats ToTlavStats(const FrontierTraversalStats& fs, uint64_t payload_bytes,
+                      uint32_t message_overhead_bytes) {
+  TlavStats stats;
+  stats.supersteps = fs.steps;
+  stats.total_messages = fs.messages;
+  stats.cross_worker_messages = fs.wire_messages;
+  stats.total_message_bytes =
+      fs.messages * (payload_bytes + message_overhead_bytes);
+  stats.cross_worker_bytes = fs.wire_bytes;
+  stats.vertex_activations = fs.vertex_activations;
+  stats.edge_scans = fs.edges_scanned;
+  stats.wall_seconds = fs.wall_seconds;
+  stats.modeled_seconds = fs.modeled_seconds;
+  stats.pull_supersteps = fs.pull_steps;
+  stats.direction_switches = fs.direction_switches;
+  stats.SetFaultStats(fs.faults);
+  stats.per_step.reserve(fs.per_step.size());
+  for (const FrontierStep& s : fs.per_step) {
+    stats.per_step.push_back({s.active_vertices, s.messages});
   }
-
-  bool has_combiner() const override { return true; }
-  uint32_t Combine(const uint32_t& a, const uint32_t& b) const override {
-    return std::min(a, b);
-  }
-
-  VertexId source_;
-};
-
-struct SsspProgram : public VertexProgram<uint64_t, uint64_t> {
-  SsspProgram(VertexId source, const Graph* g) : source_(source), g_(g) {}
-
-  void Compute(VertexHandle<uint64_t, uint64_t>& v,
-               std::span<const uint64_t> messages) override {
-    if (v.superstep() == 0) {
-      v.value() = std::numeric_limits<uint64_t>::max();
-      if (v.id() == source_) {
-        v.value() = 0;
-        Relax(v);
-      }
-      v.VoteToHalt();
-      return;
-    }
-    uint64_t best = v.value();
-    for (uint64_t m : messages) best = std::min(best, m);
-    if (best < v.value()) {
-      v.value() = best;
-      Relax(v);
-    }
-    v.VoteToHalt();
-  }
-
-  void Relax(VertexHandle<uint64_t, uint64_t>& v) {
-    // Synthetic weights are a pure function of the ORIGINAL endpoint
-    // ids, so a reordered layout sees the exact same weighted graph.
-    const VertexId vo = g_->OriginalId(v.id());
-    for (VertexId u : v.Neighbors()) {
-      v.SendTo(u, v.value() + SyntheticEdgeWeight(vo, g_->OriginalId(u)));
-    }
-  }
-
-  bool has_combiner() const override { return true; }
-  uint64_t Combine(const uint64_t& a, const uint64_t& b) const override {
-    return std::min(a, b);
-  }
-
-  VertexId source_;
-  const Graph* g_;
-};
+  return stats;
+}
 
 }  // namespace
 
@@ -99,30 +68,21 @@ uint32_t SyntheticEdgeWeight(VertexId u, VertexId v) {
   return static_cast<uint32_t>(x % 16) + 1;
 }
 
+// Callers address vertices in original-id space; the substrate runs in
+// the (possibly reordered) internal layout, so the wrappers translate
+// the source on the way in and permute per-vertex results back out.
+
 BfsResult TlavBfs(const Graph& g, VertexId source,
                   const TraversalOptions& options) {
   BfsResult result;
   result.status = ValidateSource(g, source);
   if (!result.status.ok()) return result;
-  // Callers address vertices in original-id space; the engines run in
-  // the (possibly reordered) internal layout, so translate on the way
-  // in and permute per-vertex results back on the way out.
-  source = g.InternalId(source);
-
-  if (internal::UseFrontierPath(options.engine, options.direction)) {
-    FrontierBfsResult fr = FrontierBfs(
-        g, source, internal::ToFrontierOptions(options.engine, options.direction));
-    result.distance = g.MapToOriginal(std::move(fr.distance));
-    result.stats = internal::BridgeStats(fr.stats, sizeof(uint32_t),
-                                         options.engine.message_overhead_bytes);
-    result.status = std::move(fr.status);
-    return result;
-  }
-
-  TlavEngine<uint32_t, uint32_t> engine(&g, options.engine);
-  BfsProgram program(source);
-  result.stats = engine.Run(program);
-  result.distance = g.MapToOriginal(engine.values());
+  FrontierBfsResult fr = FrontierBfs(g, g.InternalId(source),
+                                     ToFrontierOptions(options));
+  result.distance = g.MapToOriginal(std::move(fr.distance));
+  result.stats = ToTlavStats(fr.stats, sizeof(uint32_t),
+                                       options.engine.message_overhead_bytes);
+  result.status = std::move(fr.status);
   return result;
 }
 
@@ -137,23 +97,13 @@ SsspResult TlavSssp(const Graph& g, VertexId source,
   SsspResult result;
   result.status = ValidateSource(g, source);
   if (!result.status.ok()) return result;
-  source = g.InternalId(source);
-
-  if (internal::UseFrontierPath(options.engine, options.direction)) {
-    FrontierSsspResult fr = FrontierSssp(
-        g, source, &SyntheticEdgeWeight,
-        internal::ToFrontierOptions(options.engine, options.direction));
-    result.distance = g.MapToOriginal(std::move(fr.distance));
-    result.stats = internal::BridgeStats(fr.stats, sizeof(uint64_t),
-                                         options.engine.message_overhead_bytes);
-    result.status = std::move(fr.status);
-    return result;
-  }
-
-  TlavEngine<uint64_t, uint64_t> engine(&g, options.engine);
-  SsspProgram program(source, &g);
-  result.stats = engine.Run(program);
-  result.distance = g.MapToOriginal(engine.values());
+  FrontierSsspResult fr =
+      FrontierSssp(g, g.InternalId(source), &SyntheticEdgeWeight,
+                   ToFrontierOptions(options));
+  result.distance = g.MapToOriginal(std::move(fr.distance));
+  result.stats = ToTlavStats(fr.stats, sizeof(uint64_t),
+                                       options.engine.message_overhead_bytes);
+  result.status = std::move(fr.status);
   return result;
 }
 
@@ -161,6 +111,22 @@ SsspResult TlavSssp(const Graph& g, VertexId source, const TlavConfig& config) {
   TraversalOptions options;
   options.engine = config;
   return TlavSssp(g, source, options);
+}
+
+WccResult Wcc(const Graph& g, const WccOptions& options) {
+  FrontierWccResult fr = FrontierWcc(g, ToFrontierOptions(options));
+  WccResult result;
+  result.component = CanonicalizeComponents(g, std::move(fr.component));
+  result.num_components = fr.num_components;
+  result.stats = ToTlavStats(fr.stats, sizeof(VertexId),
+                             options.engine.message_overhead_bytes);
+  return result;
+}
+
+WccResult Wcc(const Graph& g, const TlavConfig& config) {
+  WccOptions options;
+  options.engine = config;
+  return Wcc(g, options);
 }
 
 }  // namespace gal

@@ -14,19 +14,20 @@ namespace gal {
 
 inline constexpr uint32_t kUnreachable = std::numeric_limits<uint32_t>::max();
 
-/// How a traversal runs: the Pregel-style engine parameters plus the
-/// frontier substrate's direction policy. With the default (kAuto, or
-/// GAL_FRONTIER_MODE override) the run routes through the
-/// direction-optimizing frontier substrate (src/frontier/); forcing
-/// kPushOnly — or using engine features the substrate does not model
-/// (mirroring, checkpointing, fault injection) — runs the original
-/// message-passing engine. Results are bit-identical either way.
+/// How a traversal (TlavBfs, TlavSssp, Wcc) runs. Every traversal runs
+/// on the direction-optimizing frontier substrate (src/frontier/), whose
+/// `direction` policy (kAuto unless GAL_FRONTIER_MODE says otherwise)
+/// picks push, pull or Beamer's switch per step. From `engine` the run
+/// takes the worker count, shared cluster, message envelope, step bound
+/// and FaultPlan; `mirror_degree_threshold` is a vertex-program setting
+/// and does not apply. Results are bit-identical under any direction,
+/// worker count, host thread count and fault schedule.
 struct TraversalOptions {
   TlavConfig engine;
   DirectionConfig direction = DirectionConfig::FromEnv();
 };
 
-/// Hop distances from `source` (frontier-style BFS). `status` is non-OK
+/// Hop distances from `source` (level-synchronous BFS). `status` is non-OK
 /// and `distance` empty when `source` is out of range — callers that
 /// ignored the old silent all-kUnreachable behavior now see the error.
 struct BfsResult {
@@ -44,9 +45,9 @@ BfsResult TlavBfs(const Graph& g, VertexId source,
 /// storing weights in the CSR arrays.
 uint32_t SyntheticEdgeWeight(VertexId u, VertexId v);
 
-/// Single-source shortest paths with SyntheticEdgeWeight, Pregel-style
-/// (delta-free Bellman-Ford with min combiner). Same error contract as
-/// TlavBfs for an out-of-range source.
+/// Single-source shortest paths with SyntheticEdgeWeight (delta-free
+/// Bellman-Ford over the frontier of improved vertices). Same error
+/// contract as TlavBfs for an out-of-range source.
 struct SsspResult {
   std::vector<uint64_t> distance;  // UINT64_MAX if not reached
   TlavStats stats;

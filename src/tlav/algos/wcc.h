@@ -3,8 +3,8 @@
 
 #include <vector>
 
-#include "frontier/direction.h"
 #include "graph/graph.h"
+#include "tlav/algos/traversal.h"
 #include "tlav/engine.h"
 
 namespace gal {
@@ -26,15 +26,11 @@ struct WccResult {
   TlavStats stats;
 };
 
-/// Like TraversalOptions: the default direction (kAuto unless
-/// GAL_FRONTIER_MODE says otherwise) routes through the frontier
-/// substrate; forced push or engine features (mirroring, checkpointing,
-/// fault injection) run the message engine. Components are identical
-/// either way.
-struct WccOptions {
-  TlavConfig engine;
-  DirectionConfig direction = DirectionConfig::FromEnv();
-};
+/// WCC runs on the frontier substrate like every traversal: push
+/// steps scatter changed labels, pull steps gather the neighborhood
+/// minimum, and a FaultPlan is handled at the step barrier. Components
+/// are identical under any direction, worker count and fault schedule.
+using WccOptions = TraversalOptions;
 
 WccResult Wcc(const Graph& g, const WccOptions& options);
 WccResult Wcc(const Graph& g, const TlavConfig& config = {});

@@ -54,9 +54,9 @@ struct TlavStats {
   /// failure — recovery costs modeled time too).
   double modeled_seconds = 0.0;
   // Direction-optimizing traversal accounting. The message engine is
-  // push-only (both stay 0); runs routed through the frontier substrate
-  // report how many supersteps gathered over in-edges and how often the
-  // Beamer heuristic flipped direction.
+  // push-only (both stay 0); the frontier traversals (TlavBfs, TlavSssp,
+  // Wcc) report how many supersteps gathered over in-edges and how often
+  // the Beamer heuristic flipped direction.
   uint32_t pull_supersteps = 0;
   uint32_t direction_switches = 0;
   // Fault-tolerance accounting, read back from the shared
@@ -76,6 +76,17 @@ struct TlavStats {
     uint64_t messages = 0;
   };
   std::vector<PerStep> per_step;
+
+  void SetFaultStats(const FaultStats& f) {
+    checkpoints_taken = f.checkpoints_taken;
+    checkpoint_bytes = f.checkpoint_bytes;
+    restored_bytes = f.restored_bytes;
+    failures_recovered = f.failures_recovered;
+    recomputed_supersteps = f.recomputed_rounds;
+    rebalances = f.rebalances;
+    migrated_vertices = f.migrated_vertices;
+    migration_bytes = f.migration_bytes;
+  }
 };
 
 template <typename V, typename M>
@@ -147,11 +158,13 @@ struct TlavConfig {
   /// Simulated per-message network overhead added to sizeof(M) when the
   /// message crosses workers (envelope: dst id + lengths).
   uint32_t message_overhead_bytes = 8;
-  /// Pregel+-style mirroring: a vertex whose degree reaches this
-  /// threshold broadcasts to each remote worker once (its "mirror"
-  /// fans the value out locally) instead of once per neighbor
-  /// (0 = off). Only affects SendToAllNeighbors, and only the wire
-  /// accounting — logical deliveries are unchanged.
+  /// Pregel+-style mirroring for vertex programs on this engine: a
+  /// vertex whose degree reaches this threshold broadcasts to each
+  /// remote worker once (its "mirror" fans the value out locally)
+  /// instead of once per neighbor (0 = off). Only affects
+  /// SendToAllNeighbors, and only the wire accounting — logical
+  /// deliveries are unchanged. The frontier traversals (TlavBfs,
+  /// TlavSssp, Wcc) do not send per-neighbor messages and ignore it.
   uint32_t mirror_degree_threshold = 0;
   /// The shared fault-tolerance schedule (cluster/fault.h): checkpoint
   /// cadence, worker failures, straggler slowdowns, and live
@@ -203,10 +216,7 @@ class TlavEngine {
     halted_.assign(n, 0);
     inbox_.resize(n);
     next_inbox_.resize(n);
-    worker_vertices_.resize(config_.num_workers);
-    for (VertexId v = 0; v < n; ++v) {
-      worker_vertices_[partition_.assignment[v]].push_back(v);
-    }
+    worker_vertices_ = VerticesByWorker(partition_);
     worker_counters_.resize(config_.num_workers);
   }
 
@@ -368,36 +378,6 @@ class TlavEngine {
     }
     stats_.per_step.resize(r.template Pod<uint64_t>());
     GAL_CHECK(r.exhausted());
-  }
-
-  /// Live rebalancing: sheds migrate_fraction of the straggler's
-  /// vertices via RebalanceAway, reinstalls the partition, and books
-  /// the moved state (value + halt flag + queued inbox messages per
-  /// vertex) through the session. Shipped programs fold messages
-  /// order-independently, so moving a vertex's home mid-run changes
-  /// traffic and timing but never results.
-  void MigrateAway(uint32_t from, RecoverySession& session) {
-    std::vector<VertexId> moved;
-    VertexPartition next =
-        RebalanceAway(*graph_, partition_, from,
-                      config_.faults.rebalance().migrate_fraction, &moved);
-    if (moved.empty()) return;
-    std::vector<uint64_t> dst_bytes(config_.num_workers, 0);
-    for (VertexId v : moved) {
-      dst_bytes[next.assignment[v]] +=
-          sizeof(V) + 1 + inbox_[v].size() * sizeof(M);
-    }
-    std::vector<std::pair<uint32_t, uint64_t>> per_dst;
-    for (uint32_t w = 0; w < config_.num_workers; ++w) {
-      if (dst_bytes[w] > 0) per_dst.emplace_back(w, dst_bytes[w]);
-    }
-    partition_ = std::move(next);
-    cluster_->InstallPartition(partition_);
-    for (std::vector<VertexId>& list : worker_vertices_) list.clear();
-    for (VertexId v = 0; v < graph_->NumVertices(); ++v) {
-      worker_vertices_[partition_.assignment[v]].push_back(v);
-    }
-    session.CommitMigration(from, per_dst, moved.size());
   }
 };
 
@@ -574,7 +554,13 @@ TlavStats TlavEngine<V, M>::Run(VertexProgram<V, M>& program) {
       const uint32_t straggler = session.RebalanceCandidate(
           superstep_, std::span<const double>(worker_load));
       if (straggler != RecoverySession::kNoWorker) {
-        MigrateAway(straggler, session);
+        // A moved vertex ships its value, halt flag and queued inbox.
+        MigrateAway(
+            *graph_, straggler,
+            [&](VertexId v) {
+              return sizeof(V) + 1 + inbox_[v].size() * sizeof(M);
+            },
+            *cluster_, session, partition_, worker_vertices_);
       }
     }
 
@@ -612,15 +598,7 @@ TlavStats TlavEngine<V, M>::Run(VertexProgram<V, M>& program) {
       ledger_end.cross_messages - ledger_start.cross_messages;
   stats_.cross_worker_bytes = ledger_end.cross_bytes - ledger_start.cross_bytes;
   stats_.modeled_seconds = cluster_->clock().SecondsSince(clock_start);
-  const FaultStats& fault_stats = session.stats();
-  stats_.checkpoints_taken = fault_stats.checkpoints_taken;
-  stats_.checkpoint_bytes = fault_stats.checkpoint_bytes;
-  stats_.restored_bytes = fault_stats.restored_bytes;
-  stats_.failures_recovered = fault_stats.failures_recovered;
-  stats_.recomputed_supersteps = fault_stats.recomputed_rounds;
-  stats_.rebalances = fault_stats.rebalances;
-  stats_.migrated_vertices = fault_stats.migrated_vertices;
-  stats_.migration_bytes = fault_stats.migration_bytes;
+  stats_.SetFaultStats(session.stats());
   return stats_;
 }
 

@@ -2,11 +2,12 @@
 // cluster/checkpoint.h): deterministic fault schedules, checkpoint
 // ledger/clock accounting, the recovery session's failure and straggler
 // machinery, and the cross-engine contract — an injected mid-run worker
-// failure (or straggler-triggered migration) leaves TLAV PageRank/WCC,
-// dist-GCN training, and TLAG triangle counts bit-identical to their
-// failure-free runs at any worker x host-thread combination. The parity
-// and rebalance suites are also run under ThreadSanitizer by
-// scripts/check.sh.
+// failure (or straggler-triggered migration) leaves TLAV PageRank, the
+// frontier traversals (BFS/SSSP/WCC), dist-GCN training, and TLAG
+// triangle counts bit-identical to their failure-free runs at any
+// worker x host-thread combination. The parity and rebalance suites are
+// also run under ThreadSanitizer by scripts/check.sh, once per forced
+// frontier direction.
 
 #include <cstdlib>
 #include <span>
@@ -23,7 +24,9 @@
 #include "gnn/dataset.h"
 #include "graph/generators.h"
 #include "tlag/algos/triangles.h"
+#include "frontier/traversal.h"
 #include "tlav/algos/pagerank.h"
+#include "tlav/algos/traversal.h"
 #include "tlav/algos/wcc.h"
 
 namespace gal {
@@ -398,6 +401,122 @@ TEST(FaultParityTest, WccBitIdenticalAcrossWorkersThreadsAndFaults) {
     }
   }
   ASSERT_EQ(unsetenv("GAL_TASK_THREADS"), 0);
+}
+
+// Failures of the plan that hit a worker a W-wide cluster has.
+uint32_t LiveFailures(const FaultPlan& plan, uint32_t workers) {
+  uint32_t live = 0;
+  for (const FailureEvent& f : plan.failures()) live += f.worker < workers;
+  return live;
+}
+
+// The traversals run on the frontier substrate, which drives the
+// RecoverySession at its step barrier. A 12x20 grid from a corner gives
+// BFS and SSSP a 30+ step schedule, so every scheduled failure lands
+// inside the run; the direction follows GAL_FRONTIER_MODE. The parity
+// schedules fail on a checkpoint round; the extra schedule fails
+// between checkpoints, so steps 10..12 replay from a restored snapshot.
+TEST(FaultParityTest, BfsSsspBitIdenticalAcrossWorkersThreadsAndFaults) {
+  Graph g = Grid(12, 20);
+  const BfsResult bfs_baseline = TlavBfs(g, 0);
+  const SsspResult sssp_baseline = TlavSssp(g, 0);
+  ASSERT_GT(bfs_baseline.stats.supersteps, 12u);
+  ASSERT_GT(sssp_baseline.stats.supersteps, 12u);
+  std::vector<FaultPlan> schedules = ParitySchedules();
+  schedules.push_back(FaultPlan{}.CheckpointEvery(5).FailWorkerAt(0, 12));
+
+  for (const char* threads : {"1", "8"}) {
+    ASSERT_EQ(setenv("GAL_TASK_THREADS", threads, 1), 0);
+    for (uint32_t workers : {1u, 2u, 4u}) {
+      for (const FaultPlan& plan : schedules) {
+        TlavConfig config;
+        config.num_workers = workers;
+        config.faults = plan;
+        const BfsResult bfs = TlavBfs(g, 0, config);
+        const SsspResult sssp = TlavSssp(g, 0, config);
+        EXPECT_EQ(bfs.distance, bfs_baseline.distance)
+            << "W=" << workers << " threads=" << threads
+            << " failures=" << plan.failures().size();
+        EXPECT_EQ(sssp.distance, sssp_baseline.distance)
+            << "W=" << workers << " threads=" << threads
+            << " failures=" << plan.failures().size();
+        EXPECT_EQ(bfs.stats.supersteps, bfs_baseline.stats.supersteps);
+        EXPECT_EQ(bfs.stats.failures_recovered, LiveFailures(plan, workers));
+        EXPECT_EQ(sssp.stats.failures_recovered, LiveFailures(plan, workers));
+      }
+    }
+  }
+  ASSERT_EQ(unsetenv("GAL_TASK_THREADS"), 0);
+}
+
+TEST(FaultParityTest, WccFailureOnPullStepKeepsDirectionSchedule) {
+  // The snapshot carries the direction controller, so a replayed step
+  // picks the direction the clean run picked: a failure on a pull step
+  // leaves components and the whole push/pull schedule unchanged,
+  // whether the rollback lands on the preceding step or on the initial
+  // state (before the first push->pull switch). The third schedule fails
+  // the push step after the pull phase and rolls back to the initial
+  // state, so the replay crosses both switches again.
+  Graph g = Rmat(10, 8, 7);
+  for (uint32_t workers : {2u, 4u}) {
+    WccOptions clean;
+    clean.engine.num_workers = workers;
+    clean.engine.faults = FaultPlan{};
+    clean.direction = DirectionConfig{};  // auto, whatever the env says
+    const WccResult baseline = Wcc(g, clean);
+    ASSERT_GT(baseline.stats.pull_supersteps, 0u);
+    ASSERT_GT(baseline.stats.direction_switches, 0u);
+
+    FrontierEngineOptions probe;
+    probe.num_workers = workers;
+    probe.direction = clean.direction;
+    probe.faults = FaultPlan{};
+    uint32_t last_pull = 0;
+    const FrontierWccResult schedule = FrontierWcc(g, probe);
+    for (uint32_t s = 0; s < schedule.stats.per_step.size(); ++s) {
+      if (schedule.stats.per_step[s].direction == Direction::kPull) {
+        last_pull = s;
+      }
+    }
+    ASSERT_EQ(schedule.stats.per_step[last_pull].direction, Direction::kPull);
+    ASSERT_GT(last_pull, 0u);
+    ASSERT_LT(last_pull + 1, schedule.stats.per_step.size());
+
+    const FaultPlan plans[] = {
+        FaultPlan{}.CheckpointEvery(last_pull).FailWorkerAt(0, last_pull),
+        FaultPlan{}.CheckpointEvery(1000).FailWorkerAt(1, last_pull),
+        FaultPlan{}.CheckpointEvery(1000).FailWorkerAt(0, last_pull + 1)};
+    for (const FaultPlan& plan : plans) {
+      WccOptions faulty = clean;
+      faulty.engine.faults = plan;
+      const WccResult r = Wcc(g, faulty);
+      EXPECT_EQ(r.component, baseline.component) << "W=" << workers;
+      EXPECT_EQ(r.num_components, baseline.num_components);
+      EXPECT_EQ(r.stats.pull_supersteps, baseline.stats.pull_supersteps);
+      EXPECT_EQ(r.stats.direction_switches, baseline.stats.direction_switches);
+      EXPECT_EQ(r.stats.supersteps, baseline.stats.supersteps);
+      EXPECT_EQ(r.stats.failures_recovered, 1u);
+    }
+  }
+}
+
+TEST(FaultParityTest, PageRankFailureBeforeFirstCheckpointReplaysFromStart) {
+  // The message engine's pre-round-0 snapshot: a failure before the
+  // first interval checkpoint rolls back to the initial state and
+  // recomputes rounds 0..4.
+  Graph g = ErdosRenyi(300, 0.02, 7);
+  PageRankOptions clean;
+  clean.iterations = 15;
+  clean.engine.num_workers = 4;
+  clean.engine.faults = FaultPlan{};
+  const PageRankResult baseline = PageRank(g, clean);
+
+  PageRankOptions faulty = clean;
+  faulty.engine.faults = FaultPlan{}.CheckpointEvery(10).FailWorkerAt(0, 4);
+  const PageRankResult r = PageRank(g, faulty);
+  EXPECT_EQ(r.ranks, baseline.ranks);
+  EXPECT_EQ(r.stats.failures_recovered, 1u);
+  EXPECT_EQ(r.stats.recomputed_supersteps, 5u);
 }
 
 TEST(FaultParityTest, DistGcnRecoveryIsBitIdentical) {

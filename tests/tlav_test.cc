@@ -231,22 +231,24 @@ TEST(TlavEngineTest, MirroringCanLoseToCombiningOnSharedReceivers) {
 
 TEST(TlavEngineTest, MirroringThresholdZeroIsOff) {
   Graph g = Star(100);
-  BfsResult plain = TlavBfs(g, 0);
+  BatchedBfsResult plain = BatchedBfsQueries(g, {0});
   EXPECT_EQ(plain.stats.mirrored_deliveries, 0u);
 }
 
 TEST(TlavEngineTest, MirroringHelpsEvenWithoutCombiner) {
-  // BFS without mirroring: the hub sends 99 messages at step 0; with
-  // mirroring, at most one wire message per worker.
+  // A one-query BFS vertex program without mirroring: the hub sends 99
+  // messages at step 0; with mirroring, at most one wire message per
+  // worker.
   Graph g = Star(100);
   TlavConfig plain;
   plain.num_workers = 4;
   TlavConfig mirrored = plain;
   mirrored.mirror_degree_threshold = 8;
-  // BFS uses a min-combiner; compare wire traffic of the hub fan-out.
-  BfsResult a = TlavBfs(g, 0, plain);
-  BfsResult b = TlavBfs(g, 0, mirrored);
-  EXPECT_EQ(a.distance, b.distance);
+  // The batched-query program has no combiner; compare wire traffic of
+  // the hub fan-out.
+  BatchedBfsResult a = BatchedBfsQueries(g, {0}, plain);
+  BatchedBfsResult b = BatchedBfsQueries(g, {0}, mirrored);
+  EXPECT_EQ(a.distances, b.distances);
   EXPECT_LT(b.stats.cross_worker_messages, a.stats.cross_worker_messages);
 }
 
@@ -406,7 +408,7 @@ TEST(WccTest, DirectedGraphYieldsWeakComponents) {
   EXPECT_EQ(r.num_components, 1u);
   EXPECT_EQ(r.component, std::vector<VertexId>(32, 0));
 
-  // The message-engine path (forced push) must agree.
+  // The forced push-only schedule must agree.
   WccOptions push_only;
   push_only.direction.mode = DirectionMode::kPushOnly;
   WccResult engine = Wcc(g, push_only);
@@ -509,7 +511,7 @@ TEST(TraversalTest, OutOfRangeSourceIsAnError) {
   SsspResult sssp = TlavSssp(g, 100);
   EXPECT_FALSE(sssp.status.ok());
   EXPECT_TRUE(sssp.distance.empty());
-  // The message-engine path validates too.
+  // The forced push-only schedule validates too.
   TraversalOptions push_only;
   push_only.direction.mode = DirectionMode::kPushOnly;
   EXPECT_FALSE(TlavBfs(g, 8, push_only).status.ok());
@@ -606,6 +608,23 @@ TEST(BatchedQueriesTest, SuperstepSharingAmortizesBarriers) {
   // Logical message totals stay in the same ballpark (same frontiers).
   EXPECT_LT(batched.stats.total_messages,
             sequential.stats.total_messages * 2);
+}
+
+TEST(BatchedQueriesTest, ReorderedGraphMatchesPerQueryBfs) {
+  // Sources are original ids and rows come back in original-id order,
+  // like every other analytics entry point, whatever the layout.
+  Graph g = Rmat(9, 6, 5);
+  GraphOptions options;
+  options.reorder = ReorderMode::kHubCluster;
+  Graph r = std::move(
+      Graph::FromEdges(g.NumVertices(), g.CollectEdges(), options).value());
+  ASSERT_TRUE(r.IsReordered());
+  const std::vector<VertexId> sources = {5, 0, 200};
+  BatchedBfsResult batched = BatchedBfsQueries(r, sources);
+  for (uint32_t q = 0; q < sources.size(); ++q) {
+    EXPECT_EQ(batched.distances[q], TlavBfs(r, sources[q]).distance)
+        << "query " << q;
+  }
 }
 
 TEST(BatchedQueriesTest, DisconnectedSourceLeavesUnreachable) {
