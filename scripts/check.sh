@@ -30,10 +30,13 @@ cmake --build build-tsan --target gal_tests -j "${JOBS}"
 # simulated-cluster substrate: TrafficLedgerTest.ConcurrentChargesAreExact
 # hammers the sharded ledger counters from 8 threads (the data race the
 # old SimulatedNetwork had), and ClusterExchangeTest.* runs the TLAV
-# engines at GAL_TASK_THREADS=8 over the exchange channel. The frontier
-# suites run the direction-optimizing traversals (push scatter, pull
-# gather over the shared bitmap, per-worker counters) across worker
-# counts under TSan — the parity sweep is where a racy frontier merge
+# engines at GAL_TASK_THREADS=8 over the exchange channel;
+# TlavEngineTest.Mirroring* are the cases that drive the channel's dense
+# combine slots with mirrored sends through the engine's worker pool
+# (per-worker slot arrays written in compute, reset in parallel
+# delivery). The frontier suites run the direction-optimizing
+# traversals (push scatter, pull gather over the shared bitmap,
+# per-worker counters) across worker counts under TSan — the parity sweep is where a racy frontier merge
 # would show up. The reorder/SIMD/compression parity suites
 # (GraphReorderTest, ReorderSimdParityTest, IntersectTest, SimdTest,
 # CompressedCsrTest) sweep thread and worker counts over the reordered
@@ -41,7 +44,7 @@ cmake --build build-tsan --target gal_tests -j "${JOBS}"
 # tallies, the per-worker decode scratch, and the SIMD dispatch flag are
 # the shared state TSan watches there.
 ./build-tsan/tests/gal_tests \
-    --gtest_filter='PipelineTest.*:ThreadPoolTest.*:TaskEngineTest.*:WorkDequeTest.*:MatchDeterminismTest.*:KernelContextTest.*:KernelParityTest.*:TensorTest.*:MatrixTest.*:SparseTest.*:CoreBudgetTest.*:TrafficLedgerTest.*:VirtualClockTest.*:ClusterRuntimeTest.*:ExchangeChannelTest.*:ClusterExchangeTest.*:FrontierBitmapTest.*:SlidingQueueTest.*:VertexFrontierTest.*:Workers/FrontierParityTest.*:FrontierTraversalTest.*:GraphReorderTest.*:ReorderSimdParityTest.*:IntersectTest.*:SimdTest.*:CompressedCsrTest.*:DistGcnTest.OverlapReducesSimulatedTime:DistGcnTest.ReportExposesTracesAndOverlapOccupancy:DistGcnTest.CommChannelsRelieveCommBoundOverlap'
+    --gtest_filter='PipelineTest.*:ThreadPoolTest.*:TaskEngineTest.*:WorkDequeTest.*:MatchDeterminismTest.*:KernelContextTest.*:KernelParityTest.*:TensorTest.*:MatrixTest.*:SparseTest.*:CoreBudgetTest.*:TrafficLedgerTest.*:VirtualClockTest.*:ClusterRuntimeTest.*:ExchangeChannelTest.*:ClusterExchangeTest.*:TlavEngineTest.Mirroring*:FrontierBitmapTest.*:SlidingQueueTest.*:VertexFrontierTest.*:Workers/FrontierParityTest.*:FrontierTraversalTest.*:GraphReorderTest.*:ReorderSimdParityTest.*:IntersectTest.*:SimdTest.*:CompressedCsrTest.*:DistGcnTest.OverlapReducesSimulatedTime:DistGcnTest.ReportExposesTracesAndOverlapOccupancy:DistGcnTest.CommChannelsRelieveCommBoundOverlap'
 
 echo
 echo "== ooc: out-of-core shard substrate (ctest label) =="

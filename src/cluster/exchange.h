@@ -1,9 +1,9 @@
 #ifndef GAL_CLUSTER_EXCHANGE_H_
 #define GAL_CLUSTER_EXCHANGE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -23,23 +23,26 @@ namespace gal {
 ///
 /// Ordering contract: within one destination worker, messages are
 /// delivered in ascending source-worker order, and within one
-/// (src, dst) lane in send order (seq). That order depends only on the
-/// send sequence — not on how many host threads executed the compute
-/// phase — so engine results and stats stay bit-identical at any thread
-/// count.
+/// (src, dst) lane in send order (seq) — with a combiner, in the order
+/// of each slot's first send. That order depends only on the send
+/// sequence — not on how many host threads executed the compute phase —
+/// so engine results and stats stay bit-identical at any thread count.
 ///
 /// Thread safety: Send/AddMirrorWire/NoteMirroredDelivery touch only the
 /// source worker's buffers, so the usual BSP discipline (each simulated
 /// worker driven by one host thread at a time) needs no locks. Flush
 /// delivers destination workers in parallel on the caller's pool;
-/// distinct destinations never share a lane.
+/// distinct destinations never share a lane or a slot.
 ///
-/// Combining (Pregel's optimization): with a combiner installed, sends
-/// fold sender-side into one slot per (destination worker, destination
-/// vertex); Flush delivers one message per slot and the wire cost counts
-/// slots, not sends. Mirrored sends (Pregel+ hub broadcasts) ride the
-/// per-worker mirror message accounted via AddMirrorWire, so they do not
-/// add per-vertex wire cost.
+/// Combining (Pregel's optimization): with a combiner installed, Send
+/// folds the message in place into a dense slot per (source worker,
+/// destination vertex) — W×|V| slots while the combiner is installed,
+/// grown to cover the largest destination id — and Flush delivers one
+/// message per touched slot. The wire cost counts slots that a
+/// non-mirrored send touched, not sends. Mirrored sends (Pregel+ hub
+/// broadcasts) ride the per-worker mirror message accounted via
+/// AddMirrorWire, so they do not add per-vertex wire cost. Between two
+/// flushes a destination vertex must map to one destination worker.
 template <typename M>
 class ExchangeChannel {
  public:
@@ -64,7 +67,7 @@ class ExchangeChannel {
     boxes_.resize(workers);
     for (Outbox& box : boxes_) {
       box.lanes.assign(workers, {});
-      box.combined.assign(workers, {});
+      box.touched.assign(workers, {});
       box.wire.assign(workers, 0);
       box.logical.assign(workers, 0);
       box.mirrored = 0;
@@ -72,10 +75,17 @@ class ExchangeChannel {
   }
 
   /// Installs (or clears, with nullptr) the combiner for the coming
-  /// supersteps and drops any buffered messages.
+  /// supersteps and drops any buffered messages. Clearing the combiner
+  /// releases the combine slots.
   void Begin(Combiner combiner) {
     combiner_ = std::move(combiner);
     Clear();
+    if (!combiner_) {
+      for (Outbox& box : boxes_) {
+        std::vector<M>().swap(box.slot_value);
+        std::vector<uint8_t>().swap(box.slot_state);
+      }
+    }
   }
 
   /// Buffers one message from src worker to `dst_vertex` on dst worker.
@@ -86,12 +96,18 @@ class ExchangeChannel {
     Outbox& box = boxes_[src];
     ++box.logical[dst_worker];
     if (combiner_) {
-      auto [it, inserted] = box.combined[dst_worker].emplace(
-          dst_vertex, CombinedSlot{message, 0});
-      if (!inserted) {
-        it->second.message = combiner_(it->second.message, message);
+      if (dst_vertex >= box.slot_state.size()) GrowSlots(box, dst_vertex);
+      uint8_t& state = box.slot_state[dst_vertex];
+      M& slot = box.slot_value[dst_vertex];
+      if (state == 0) {
+        slot = message;
+        box.touched[dst_worker].push_back(dst_vertex);
+      } else {
+        slot = combiner_(slot, message);
       }
-      if (!mirrored) it->second.non_mirrored = 1;
+      // The first non-mirrored send to a slot puts it on the wire.
+      if (!mirrored && !(state & kNonMirrored)) ++box.wire[dst_worker];
+      state |= mirrored ? kMirrored : kNonMirrored;
       return;
     }
     if (!mirrored) ++box.wire[dst_worker];
@@ -122,15 +138,10 @@ class ExchangeChannel {
       totals.mirrored += box.mirrored;
       box.mirrored = 0;
       for (uint32_t dst = 0; dst < workers; ++dst) {
-        // Wire cost: one per mirror broadcast (already in wire[]) plus,
-        // with a combiner, one per combined slot that a non-mirrored
-        // send touched; without one, every non-mirrored send.
-        uint64_t wire = box.wire[dst];
-        if (combiner_) {
-          for (const auto& [v, slot] : box.combined[dst]) {
-            wire += slot.non_mirrored;
-          }
-        }
+        // Wire cost (counted at Send): one per mirror broadcast plus,
+        // with a combiner, one per slot that a non-mirrored send
+        // touched; without one, every non-mirrored send.
+        const uint64_t wire = box.wire[dst];
         totals.logical_messages += box.logical[dst];
         if (src != dst && wire > 0) {
           totals.cross_messages += wire;
@@ -149,11 +160,12 @@ class ExchangeChannel {
           deliver(static_cast<uint32_t>(dst), o.dst, std::move(o.message));
         }
         lane.clear();
-        auto& combined = box.combined[dst];
-        for (auto& [v, slot] : combined) {
-          deliver(static_cast<uint32_t>(dst), v, std::move(slot.message));
+        std::vector<VertexId>& touched = box.touched[dst];
+        for (VertexId v : touched) {
+          deliver(static_cast<uint32_t>(dst), v, std::move(box.slot_value[v]));
+          box.slot_state[v] = 0;
         }
-        combined.clear();
+        touched.clear();
       }
     };
     if (pool != nullptr) {
@@ -168,7 +180,10 @@ class ExchangeChannel {
   void Clear() {
     for (Outbox& box : boxes_) {
       for (auto& lane : box.lanes) lane.clear();
-      for (auto& slots : box.combined) slots.clear();
+      for (std::vector<VertexId>& touched : box.touched) {
+        for (VertexId v : touched) box.slot_state[v] = 0;
+        touched.clear();
+      }
       std::fill(box.wire.begin(), box.wire.end(), 0);
       std::fill(box.logical.begin(), box.logical.end(), 0);
       box.mirrored = 0;
@@ -184,21 +199,31 @@ class ExchangeChannel {
     VertexId dst;
     M message;
   };
-  /// Combined slot: folded message + whether any non-mirrored send
-  /// touched it.
-  struct CombinedSlot {
-    M message;
-    uint8_t non_mirrored = 0;
-  };
+  /// Combine-slot state bits: which kinds of send touched the slot.
+  static constexpr uint8_t kMirrored = 1;
+  static constexpr uint8_t kNonMirrored = 2;
   /// Per-source-worker buffers, one lane per destination worker; no
   /// locking needed because a worker only appends to its own buffers.
+  /// With a combiner, `slot_value`/`slot_state` are indexed by
+  /// destination vertex and `touched` lists each lane's live slots in
+  /// first-send order; a slot is free again once its state is 0.
   struct Outbox {
-    std::vector<std::vector<Outgoing>> lanes;                          // [dst]
-    std::vector<std::unordered_map<VertexId, CombinedSlot>> combined;  // [dst]
-    std::vector<uint64_t> wire;                                        // [dst]
-    std::vector<uint64_t> logical;                                     // [dst]
+    std::vector<std::vector<Outgoing>> lanes;     // [dst]
+    std::vector<std::vector<VertexId>> touched;   // [dst]
+    std::vector<M> slot_value;                    // [vertex]
+    std::vector<uint8_t> slot_state;              // [vertex]
+    std::vector<uint64_t> wire;                   // [dst]
+    std::vector<uint64_t> logical;                // [dst]
     uint64_t mirrored = 0;
   };
+
+  /// Grows the slots to cover `v`, at least doubling them.
+  static void GrowSlots(Outbox& box, VertexId v) {
+    const size_t size =
+        std::max<size_t>(size_t{v} + 1, 2 * box.slot_state.size());
+    box.slot_value.resize(size);
+    box.slot_state.resize(size, 0);
+  }
 
   ClusterRuntime* cluster_;
   uint32_t envelope_bytes_;

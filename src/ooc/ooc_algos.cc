@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <numeric>
+#include <span>
 
 #include "cluster/cluster.h"
 #include "common/threadpool.h"
@@ -209,66 +210,79 @@ OocTriangleResult OocTriangleCount(const ShardedGraph& g,
   Timer timer;
   const uint32_t threads = ResolveTaskThreads(options.engine.num_threads);
 
-  /// Per-thread workspace, cache-line padded like the in-memory tally:
-  /// one shard's flattened oriented rows plus a target-row buffer.
-  struct alignas(64) Scratch {
-    std::vector<uint32_t> row_start;
+  /// One shard's flattened oriented rows: row i holds vertex begin+i's
+  /// oriented neighbors, sorted.
+  struct OrientedRows {
+    std::vector<uint32_t> start;
     std::vector<VertexId> rows;
-    std::vector<VertexId> target;
+    std::span<const VertexId> Row(size_t i) const {
+      return {rows.data() + start[i], start[i + 1] - start[i]};
+    }
+  };
+  // Orientation keeps (deg(u), u) > (deg(v), v) — identical filter to
+  // OrientByDegree, evaluated on RAM-resident degrees, so every
+  // IntersectCount below sees the same operands as the in-memory run.
+  // Pins shard s only for the flattening.
+  auto flatten = [&g](uint32_t s, OrientedRows& out) {
+    const ShardInfo& info = g.shard(s);
+    out.start.assign(info.NumVertices() + 1, 0);
+    out.rows.clear();
+    PinnedShard pin = g.Pin(s);
+    for (VertexId v = info.begin; v < info.end; ++v) {
+      const uint32_t dv = g.Degree(v);
+      pin.ForEachOutNeighbor(v, [&](VertexId u) {
+        const uint32_t du = g.Degree(u);
+        if (du > dv || (du == dv && u > v)) out.rows.push_back(u);
+      });
+      out.start[v - info.begin + 1] = static_cast<uint32_t>(out.rows.size());
+    }
+  };
+
+  /// Per-thread workspace, cache-line padded like the in-memory tally:
+  /// the source shard's rows, one target shard's rows, and a cursor per
+  /// source row.
+  struct alignas(64) Scratch {
+    OrientedRows source;
+    OrientedRows target;
+    std::vector<uint32_t> cursor;
+    std::vector<uint8_t> wanted;  // [shard] some source row points into it
     uint64_t triangles = 0;
     uint64_t ops = 0;
   };
   std::vector<Scratch> scratch(threads);
 
-  // Orientation keeps (deg(u), u) > (deg(v), v) — identical filter to
-  // OrientByDegree, evaluated on RAM-resident degrees, so every
-  // IntersectCount below sees the same operands as the in-memory run.
-  auto orient_into = [&g](const PinnedShard& pin, VertexId v,
-                          std::vector<VertexId>& out) {
-    out.clear();
-    const uint32_t dv = g.Degree(v);
-    pin.ForEachOutNeighbor(v, [&](VertexId u) {
-      const uint32_t du = g.Degree(u);
-      if (du > dv || (du == dv && u > v)) out.push_back(u);
-    });
-  };
-
-  std::vector<uint32_t> tasks(g.NumShards());
+  const uint32_t num_shards = g.NumShards();
+  std::vector<uint32_t> tasks(num_shards);
   std::iota(tasks.begin(), tasks.end(), 0);
   TaskEngine<uint32_t> engine(options.engine);
   result.task_stats = engine.Run(
       std::move(tasks), [&](uint32_t& s, TaskEngine<uint32_t>::Context& ctx) {
         Scratch& sc = scratch[ctx.thread_id()];
-        const ShardInfo& info = g.shard(s);
-        const VertexId begin = info.begin;
-        // Phase 1: pin once, flatten the whole shard's oriented rows.
-        sc.row_start.assign(info.NumVertices() + 1, 0);
-        sc.rows.clear();
-        {
-          PinnedShard pin = g.Pin(s);
-          for (VertexId v = begin; v < info.end; ++v) {
-            const uint32_t dv = g.Degree(v);
-            pin.ForEachOutNeighbor(v, [&](VertexId u) {
-              const uint32_t du = g.Degree(u);
-              if (du > dv || (du == dv && u > v)) sc.rows.push_back(u);
-            });
-            sc.row_start[v - begin + 1] =
-                static_cast<uint32_t>(sc.rows.size());
-          }
-        }
-        // Phase 2: pin-free on this shard; each target row comes through
-        // its own transient pin, so this thread never holds two pins.
-        for (VertexId v = begin; v < info.end; ++v) {
-          const std::span<const VertexId> ov{
-              sc.rows.data() + sc.row_start[v - begin],
-              sc.row_start[v - begin + 1] - sc.row_start[v - begin]};
-          for (VertexId u : ov) {
-            {
-              PinnedShard upin = g.Pin(g.ShardOf(u));
-              orient_into(upin, u, sc.target);
+        // Phase 1: pin s once, flatten its oriented rows, and note the
+        // target shards they point into.
+        flatten(s, sc.source);
+        const size_t num_rows = sc.source.start.size() - 1;
+        sc.wanted.assign(num_shards, 0);
+        for (VertexId u : sc.source.rows) sc.wanted[g.ShardOf(u)] = 1;
+        sc.cursor.assign(sc.source.start.begin(), sc.source.start.end() - 1);
+        // Phase 2: one pin per (s, t) pair. Rows are sorted and shards
+        // are contiguous id ranges, so a row's targets in t are one run
+        // starting at its cursor; walking t in order consumes each row
+        // once. The pin on t is released before intersecting, so this
+        // thread never holds two pins. t == s reuses phase 1's rows.
+        for (uint32_t t = 0; t < num_shards; ++t) {
+          if (!sc.wanted[t]) continue;
+          if (t != s) flatten(t, sc.target);
+          const OrientedRows& target = t == s ? sc.source : sc.target;
+          const ShardInfo& tinfo = g.shard(t);
+          for (size_t i = 0; i < num_rows; ++i) {
+            const std::span<const VertexId> ov = sc.source.Row(i);
+            uint32_t& c = sc.cursor[i];
+            for (; c < sc.source.start[i + 1] && sc.source.rows[c] < tinfo.end;
+                 ++c) {
+              sc.triangles += IntersectCount(
+                  ov, target.Row(sc.source.rows[c] - tinfo.begin), &sc.ops);
             }
-            sc.triangles += IntersectCount(
-                ov, {sc.target.data(), sc.target.size()}, &sc.ops);
           }
         }
       });

@@ -86,9 +86,11 @@ struct OocTriangleResult {
 
 /// Degree-ordered triangle counting on the task engine, one task per
 /// shard: pin the shard once and flatten its degree-oriented rows into
-/// thread-local scratch, release, then intersect against target rows
-/// fetched through transient pins (each thread holds at most one pin at
-/// any instant, so a one-shard budget cannot deadlock). Produces the
+/// thread-local scratch, release, then visit the target shards its rows
+/// point into in order, pinning each once to flatten its rows before
+/// intersecting (each thread holds at most one pin at any instant, so a
+/// one-shard budget cannot deadlock; a task pins at most S+1 times for
+/// S shards). Produces the
 /// same triangle count AND the same intersection_ops diagnostic as
 /// TaskTriangleCount, because every IntersectCount call sees the same
 /// operand rows.

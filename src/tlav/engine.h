@@ -277,9 +277,12 @@ class TlavEngine {
   /// decode buffer for compressed graphs: exactly one VertexHandle is
   /// live per worker at a time, so the span VertexHandle::Neighbors()
   /// returns over it stays valid for the duration of a Compute call.
+  /// `mirror_touched` marks the remote workers one mirrored broadcast
+  /// has already paid for.
   struct alignas(64) WorkerCounters {
     uint64_t edge_scans = 0;
     std::vector<VertexId> decode_scratch;
+    std::vector<uint8_t> mirror_touched;
   };
 
   void Send(uint32_t src_worker, VertexId dst, const M& message,
@@ -301,7 +304,9 @@ class TlavEngine {
           src, [&](VertexId u) { Send(src_worker, u, message); });
       return;
     }
-    std::vector<uint8_t> worker_touched(config_.num_workers, 0);
+    std::vector<uint8_t>& worker_touched =
+        worker_counters_[src_worker].mirror_touched;
+    worker_touched.assign(config_.num_workers, 0);
     graph_->ForEachOutNeighbor(src, [&](VertexId u) {
       const uint32_t w = partition_.assignment[u];
       if (!worker_touched[w]) {
@@ -431,7 +436,8 @@ void VertexHandle<V, M>::Aggregate(const std::string& name, double value) {
 
 template <typename V, typename M>
 double VertexHandle<V, M>::GetAggregate(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(engine_->aggregator_mu_);
+  // No lock: `previous` is written only at the superstep barrier, and
+  // Aggregate's locked folds touch only `current`.
   auto it = engine_->aggregators_.find(name);
   GAL_CHECK(it != engine_->aggregators_.end()) << "unknown aggregator " << name;
   return it->second.previous;
@@ -583,7 +589,6 @@ TlavStats TlavEngine<V, M>::Run(VertexProgram<V, M>& program) {
     ++superstep_;
   }
 
-  stats_.supersteps = superstep_ + (superstep_ < config_.max_supersteps ? 1 : 0);
   // Trim: the final bookkeeping step with zero activity is not a superstep.
   while (!stats_.per_step.empty() && stats_.per_step.back().active_vertices == 0 &&
          stats_.per_step.back().messages == 0) {

@@ -231,6 +231,92 @@ TEST(ExchangeChannelTest, ClearDropsBufferedMessages) {
   EXPECT_EQ(runtime.ledger().TotalBytes(), 0u);
 }
 
+TEST(ExchangeChannelTest, MirroredOnlySlotPaysNoVertexWire) {
+  ClusterRuntime runtime(ClusterOptions{2, {}});
+  ExchangeChannel<int> channel(&runtime, 0);
+  channel.Begin([](const int& a, const int& b) { return a + b; });
+  // Two hub broadcasts reach vertex 4 on worker 1 through its mirror:
+  // the one mirror message is the whole wire cost.
+  channel.AddMirrorWire(0, 1);
+  channel.Send(0, 1, 4, 10, /*mirrored=*/true);
+  channel.NoteMirroredDelivery(0);
+  channel.Send(0, 1, 4, 5, /*mirrored=*/true);
+  std::vector<std::pair<VertexId, int>> got;
+  const auto totals = channel.Flush(
+      nullptr, [&](uint32_t, VertexId v, int&& m) { got.push_back({v, m}); });
+  EXPECT_EQ(got, (std::vector<std::pair<VertexId, int>>{{4, 15}}));
+  EXPECT_EQ(totals.logical_messages, 2u);
+  EXPECT_EQ(totals.mirrored, 1u);
+  EXPECT_EQ(totals.cross_messages, 1u);
+  EXPECT_EQ(runtime.ledger().TotalMessages(), 1u);
+}
+
+TEST(ExchangeChannelTest, MixedSlotPaysOneVertexWire) {
+  ClusterRuntime runtime(ClusterOptions{2, {}});
+  ExchangeChannel<int> channel(&runtime, 0);
+  channel.Begin([](const int& a, const int& b) { return a + b; });
+  channel.AddMirrorWire(0, 1);
+  channel.Send(0, 1, 4, 1, /*mirrored=*/true);
+  channel.Send(0, 1, 4, 2);
+  channel.Send(0, 1, 4, 3);
+  channel.Send(0, 1, 4, 4, /*mirrored=*/true);
+  int delivered = -1;
+  const auto totals = channel.Flush(
+      nullptr, [&](uint32_t, VertexId, int&& m) { delivered = m; });
+  EXPECT_EQ(delivered, 10);
+  // The mirror message plus exactly one for the slot the direct sends
+  // touched.
+  EXPECT_EQ(totals.cross_messages, 2u);
+  EXPECT_EQ(runtime.ledger().TotalMessages(), 2u);
+}
+
+TEST(ExchangeChannelTest, CombinedSlotsDeliverInFirstSendOrder) {
+  ClusterRuntime runtime(ClusterOptions{2, {}});
+  ExchangeChannel<int> channel(&runtime, 0);
+  channel.Begin([](const int& a, const int& b) { return a + b; });
+  // Ids deliberately out of numeric order; later sends fold into the
+  // slots without moving them.
+  for (const VertexId v : {9u, 2u, 40u, 7u}) channel.Send(0, 1, v, 1);
+  channel.Send(0, 1, 40, 1);
+  channel.Send(0, 1, 9, 1);
+  channel.Send(1, 1, 3, 5);  // src 1's lane follows src 0's
+  std::vector<std::pair<VertexId, int>> got;
+  channel.Flush(nullptr,
+                [&](uint32_t, VertexId v, int&& m) { got.push_back({v, m}); });
+  const std::vector<std::pair<VertexId, int>> want = {
+      {9, 2}, {2, 1}, {40, 2}, {7, 1}, {3, 5}};
+  EXPECT_EQ(got, want);
+}
+
+TEST(ExchangeChannelTest, SlotsStartFreshAfterFlushAndClear) {
+  ClusterRuntime runtime(ClusterOptions{2, {}});
+  ExchangeChannel<int> channel(&runtime, 0);
+  channel.Begin([](const int& a, const int& b) { return a + b; });
+  std::vector<std::pair<VertexId, int>> got;
+  auto collect = [&](uint32_t, VertexId v, int&& m) { got.push_back({v, m}); };
+
+  // After Flush: neither the sum nor the non-mirrored bit carries over.
+  channel.Send(0, 1, 6, 100);
+  channel.Flush(nullptr, collect);
+  channel.AddMirrorWire(0, 1);
+  channel.Send(0, 1, 6, 1, /*mirrored=*/true);
+  got.clear();
+  auto totals = channel.Flush(nullptr, collect);
+  EXPECT_EQ(got, (std::vector<std::pair<VertexId, int>>{{6, 1}}));
+  EXPECT_EQ(totals.cross_messages, 1u);  // the mirror message only
+
+  // After Clear (failure rollback): the dropped sum and bit are gone.
+  channel.Send(0, 1, 6, 100);
+  channel.Clear();
+  channel.AddMirrorWire(0, 1);
+  channel.Send(0, 1, 6, 2, /*mirrored=*/true);
+  got.clear();
+  totals = channel.Flush(nullptr, collect);
+  EXPECT_EQ(got, (std::vector<std::pair<VertexId, int>>{{6, 2}}));
+  EXPECT_EQ(totals.cross_messages, 1u);
+  EXPECT_EQ(totals.logical_messages, 1u);
+}
+
 // --- cross-engine determinism ----------------------------------------------
 // The exchange-channel ordering contract in action: TLAV results and
 // logical stats must be bit-identical at any simulated worker count and

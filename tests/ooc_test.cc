@@ -571,6 +571,34 @@ TEST_F(OocParityTest, TrianglesAndOpsMatchTaskEngineAcrossBudgets) {
   RemoveShardedGraphFiles(base);
 }
 
+TEST_F(OocParityTest, TrianglesPinEachShardPairOnce) {
+  // Each source-shard task pins its own shard once and every target
+  // shard at most once, whatever the budget or thread count — a pin per
+  // oriented edge would blow far past S*(S+1).
+  const Graph g = ErdosRenyi(200, 0.06, 23);
+  const std::string base = TempBase("gal_ooc_tri_pins");
+  ShardWriterOptions wopt;
+  wopt.target_shard_bytes = 1024;
+  auto summary = WriteShardedGraph(g, base, wopt);
+  ASSERT_TRUE(summary.ok()) << summary.status();
+  const uint64_t shards = summary.value().num_shards;
+  ASSERT_GT(shards, 1u);
+
+  const uint64_t want = TaskTriangleCount(g, {}).triangles;
+  for (const uint32_t threads : {1u, 8u}) {
+    auto opened = ShardedGraph::Open(base);
+    ASSERT_TRUE(opened.ok()) << opened.status();
+    OocTriangleOptions topt;
+    topt.engine.num_threads = threads;
+    const OocTriangleResult got = OocTriangleCount(opened.value(), topt);
+    EXPECT_EQ(want, got.triangles) << "threads " << threads;
+    EXPECT_LE(got.stats.shard_loads + got.stats.cache_hits,
+              shards * (shards + 1))
+        << "threads " << threads;
+  }
+  RemoveShardedGraphFiles(base);
+}
+
 TEST_F(OocParityTest, ReorderedCompressedStoreMatchesPlainResults) {
   const Graph plain = ErdosRenyi(220, 0.03, 29);
   GraphOptions options;
