@@ -135,4 +135,14 @@ GAL_CLUSTER_FAULT_CHECKPOINT=2 GAL_CLUSTER_FAULT_FAIL=0@3 ./build/tests/gal_test
     --gtest_filter='GraphReorderTest.*:ReorderSimdParityTest.*:IntersectTest.*:SimdTest.*:CompressedCsrTest.*'
 
 echo
+echo "== forced fault schedule: parity suites with a straggler and rebalancing =="
+# The same schedule plus worker 1 slowed 4x and live rebalancing on, so
+# the env-forced run also drives straggler scaling and vertex migration
+# through the engines' round barrier: PageRank, WCC and BFS each take a
+# rollback and a rebalance, and every bit-identity assertion must hold.
+GAL_CLUSTER_FAULT_CHECKPOINT=2 GAL_CLUSTER_FAULT_FAIL=0@3 \
+    GAL_CLUSTER_FAULT_SLOW=1:4 GAL_CLUSTER_FAULT_REBALANCE=1 ./build/tests/gal_tests \
+    --gtest_filter='GraphReorderTest.*:ReorderSimdParityTest.*:IntersectTest.*:SimdTest.*:CompressedCsrTest.*'
+
+echo
 echo "check.sh: all green"

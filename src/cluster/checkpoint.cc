@@ -47,6 +47,9 @@ const std::vector<uint8_t>& CheckpointStore::Restore() {
 RecoverySession::RecoverySession(ClusterRuntime* cluster, FaultPlan plan)
     : cluster_(cluster), plan_(std::move(plan)), store_(cluster) {
   GAL_CHECK(cluster_ != nullptr);
+  run_start_ = cluster_->ledger().Snapshot();
+  clock_start_ = cluster_->clock().rounds();
+  mark_ = run_start_;
   consumed_.assign(plan_.failures().size(), 0);
   for (const FailureEvent& f : plan_.failures()) {
     if (f.worker < cluster_->num_workers()) {
@@ -54,6 +57,46 @@ RecoverySession::RecoverySession(ClusterRuntime* cluster, FaultPlan plan)
       break;
     }
   }
+}
+
+void RecoverySession::Start(RoundHooks hooks) {
+  hooks_ = std::move(hooks);
+  if (WantsInitialCheckpoint()) Commit(kInitialRound, Save());
+  mark_ = cluster_->ledger().Snapshot();
+}
+
+bool RecoverySession::EndRound(uint32_t* round,
+                               std::span<double> per_worker_compute,
+                               const TrafficSnapshot& traffic) {
+  const uint32_t ended = *round;
+  ScaleCompute(ended, per_worker_compute);
+  cluster_->clock().AdvanceRound(per_worker_compute, traffic.cross_bytes,
+                                 traffic.cross_messages);
+  if (ShouldCheckpoint(ended)) Commit(ended, Save());
+  const std::vector<uint8_t>* blob = OnFailure(ended, round);
+  if (blob != nullptr) {
+    BlobReader r(*blob);
+    hooks_.load(r);
+    GAL_CHECK(r.exhausted()) << "trailing bytes in checkpoint";
+  } else {
+    *round = ended + 1;
+    if (hooks_.migrate && plan_.rebalance().enabled) {
+      const VertexPartition& partition = cluster_->partition();
+      std::vector<double> load(partition.num_parts, 0.0);
+      for (uint32_t owner : partition.assignment) load[owner] += 1.0;
+      const uint32_t straggler =
+          RebalanceCandidate(ended, std::span<const double>(load));
+      if (straggler != kNoWorker) hooks_.migrate(straggler);
+    }
+  }
+  mark_ = cluster_->ledger().Snapshot();
+  return blob != nullptr;
+}
+
+std::vector<uint8_t> RecoverySession::Save() const {
+  BlobWriter w;
+  hooks_.save(w);
+  return std::move(w).Take();
 }
 
 void RecoverySession::ScaleCompute(uint32_t round,
@@ -159,16 +202,14 @@ std::vector<std::vector<VertexId>> VerticesByWorker(
   return lists;
 }
 
-void MigrateAway(const Graph& g, uint32_t from,
-                 const std::function<uint64_t(VertexId)>& state_bytes,
-                 ClusterRuntime& cluster, RecoverySession& session,
-                 VertexPartition& partition,
-                 std::vector<std::vector<VertexId>>& worker_vertices) {
+bool RecoverySession::MigrateAway(
+    const Graph& g, uint32_t from,
+    const std::function<uint64_t(VertexId)>& state_bytes,
+    VertexPartition& partition) {
   std::vector<VertexId> moved;
-  VertexPartition next =
-      RebalanceAway(g, partition, from,
-                    session.plan().rebalance().migrate_fraction, &moved);
-  if (moved.empty()) return;
+  VertexPartition next = RebalanceAway(
+      g, partition, from, plan_.rebalance().migrate_fraction, &moved);
+  if (moved.empty()) return false;
   std::vector<uint64_t> dst_bytes(partition.num_parts, 0);
   for (VertexId v : moved) dst_bytes[next.assignment[v]] += state_bytes(v);
   std::vector<std::pair<uint32_t, uint64_t>> per_dst;
@@ -176,9 +217,9 @@ void MigrateAway(const Graph& g, uint32_t from,
     if (dst_bytes[w] > 0) per_dst.emplace_back(w, dst_bytes[w]);
   }
   partition = std::move(next);
-  cluster.InstallPartition(partition);
-  worker_vertices = VerticesByWorker(partition);
-  session.CommitMigration(from, per_dst, moved.size());
+  cluster_->InstallPartition(partition);
+  CommitMigration(from, per_dst, moved.size());
+  return true;
 }
 
 }  // namespace gal

@@ -156,29 +156,85 @@ struct FaultStats {
   uint64_t migration_bytes = 0;
 };
 
-/// One engine run's view of a FaultPlan: the shared checkpoint /
-/// failure-recovery / straggler-mitigation driver all three engine
-/// families call at their round barrier, in this order:
+/// What an engine registers with its RecoverySession: `save` appends
+/// the engine's state at the round barrier to a snapshot, `load` reads
+/// it back in the same order, and `migrate` sheds load off a straggling
+/// worker (performing the move and booking it via CommitMigration, as
+/// RecoverySession::MigrateAway does). A null `migrate` means the
+/// engine never rebalances.
+struct RoundHooks {
+  std::function<void(BlobWriter&)> save;
+  std::function<void(BlobReader&)> load;
+  std::function<void(uint32_t from)> migrate = nullptr;
+};
+
+/// The one round barrier of every engine family on the simulated
+/// cluster (TLAV supersteps, frontier steps, TLAG chunk-rounds, dist-GCN
+/// epochs): one engine run's view of a FaultPlan plus the run's ledger
+/// and clock bookkeeping. An engine calls Start(hooks) once before round
+/// 0, which snapshots the initial state when the plan can fail a worker,
+/// and EndRound once per round, which in this order
 ///
-///   1. ScaleCompute(round, per_worker_seconds)   straggler injection
-///   2. (engine flushes messages, advances its own clock round)
-///   3. if ShouldCheckpoint(round): Commit(round, Serialize())
-///   4. if OnFailure(round, &resume): restore blob, resume at `resume`
-///   5. RebalanceCandidate(round, per_worker_load) -> engine migrates,
-///      then CommitMigration books the moved bytes
+///   1. scales each worker's compute by its scheduled slowdown,
+///   2. prices the round on the VirtualClock (compute + the traffic the
+///      engine passes, normally PendingTraffic()),
+///   3. checkpoints on the plan's cadence,
+///   4. on a scheduled failure restores the last snapshot through
+///      `load` and rewinds the round to the replay point,
+///   5. otherwise asks the straggler detector and, when it names a
+///      worker, calls `migrate`.
 ///
-/// The session consumes each failure event once, so a replayed round
-/// does not re-fail; slowdown windows do re-apply on replay (the
-/// straggler is still slow the second time through).
+/// The session's own charges (snapshots, restores, migrations) price
+/// their own clock rounds; it re-marks the ledger after them, so
+/// PendingTraffic() is exactly the traffic the engine charged since the
+/// last barrier and every wire byte is priced on one round. The
+/// primitive steps stay public for unit tests. The session consumes each
+/// failure event once, so a replayed round does not re-fail; slowdown
+/// windows do re-apply on replay (the straggler is still slow the
+/// second time through).
 class RecoverySession {
  public:
   static constexpr uint32_t kInitialRound = CheckpointStore::kInitialRound;
   static constexpr uint32_t kNoWorker = UINT32_MAX;
 
+  /// Marks the run's start on the cluster's ledger and clock.
   RecoverySession(ClusterRuntime* cluster, FaultPlan plan);
 
-  const FaultPlan& plan() const { return plan_; }
-  bool active() const { return !plan_.empty(); }
+  /// Registers the engine's hooks and, when WantsInitialCheckpoint(),
+  /// snapshots the pre-round-0 state.
+  void Start(RoundHooks hooks);
+
+  /// Closes round `*round` (steps 1-5 above) and sets `*round` to the
+  /// round to run next: `*round + 1`, or the replay point after a
+  /// rollback. Returns true on a rollback. The rebalance load signal is
+  /// the owned-vertex count per worker of the cluster's installed
+  /// partition, scaled by each worker's slowdown.
+  bool EndRound(uint32_t* round, std::span<double> per_worker_compute,
+                const TrafficSnapshot& traffic);
+
+  /// Ledger traffic charged since the last barrier (or Start).
+  TrafficSnapshot PendingTraffic() const {
+    return cluster_->ledger().Snapshot() - mark_;
+  }
+  /// The run's ledger delta and modeled seconds so far.
+  TrafficSnapshot RunTraffic() const {
+    return cluster_->ledger().Snapshot() - run_start_;
+  }
+  double RunSeconds() const {
+    return cluster_->clock().SecondsSince(clock_start_);
+  }
+
+  /// Sheds the plan's migrate_fraction of `from`'s vertices via
+  /// RebalanceAway, installs the new `partition` on the cluster, and
+  /// books each moved vertex's `state_bytes(v)`. Returns false (booking
+  /// nothing) when no vertex moved. Engines that fold
+  /// order-independently see a move change traffic and timing, never
+  /// results.
+  bool MigrateAway(const Graph& g, uint32_t from,
+                   const std::function<uint64_t(VertexId)>& state_bytes,
+                   VertexPartition& partition);
+
+  // --- primitive barrier steps (EndRound composes these) ----------------
 
   /// True when the engine must snapshot its pristine state before round
   /// 0 (any live failure schedule: recovery needs somewhere to roll back
@@ -209,10 +265,10 @@ class RecoverySession {
                                         uint32_t* resume_round);
 
   /// Sustained-straggler detector over a deterministic per-worker load
-  /// signal (engines pass e.g. owned-vertex counts; the session scales
-  /// by the round's slowdown factors). Returns the worker to shed load
-  /// from, or kNoWorker. Purely observational — the engine performs the
-  /// migration and reports it via CommitMigration.
+  /// signal (owned-vertex counts; the session scales by the round's
+  /// slowdown factors). Returns the worker to shed load from, or
+  /// kNoWorker. Purely observational — the migration is booked via
+  /// CommitMigration.
   uint32_t RebalanceCandidate(uint32_t round,
                               std::span<const double> per_worker_load);
 
@@ -227,9 +283,15 @@ class RecoverySession {
   const FaultStats& stats() const { return stats_; }
 
  private:
+  std::vector<uint8_t> Save() const;  // the engine's state via hooks_.save
+
   ClusterRuntime* cluster_;
   FaultPlan plan_;
   CheckpointStore store_;
+  RoundHooks hooks_;
+  TrafficSnapshot run_start_;
+  size_t clock_start_;
+  TrafficSnapshot mark_;  // ledger at the last barrier
   std::vector<uint8_t> consumed_;  // parallel to plan_.failures()
   bool wants_initial_ = false;
   uint32_t straggler_ = kNoWorker;
@@ -242,19 +304,6 @@ class RecoverySession {
 /// Per-worker vertex lists of `partition`, ascending within each worker.
 std::vector<std::vector<VertexId>> VerticesByWorker(
     const VertexPartition& partition);
-
-/// Live rebalancing for the engines that place vertices by a
-/// VertexPartition (TLAV message engine, frontier traversals): sheds the
-/// plan's migrate_fraction of `from`'s vertices via RebalanceAway,
-/// installs the new partition on `cluster`, rebuilds `worker_vertices`,
-/// and books each moved vertex's `state_bytes(v)` through `session`.
-/// Both engines fold order-independently, so moving a vertex's home
-/// mid-run changes traffic and timing but never results.
-void MigrateAway(const Graph& g, uint32_t from,
-                 const std::function<uint64_t(VertexId)>& state_bytes,
-                 ClusterRuntime& cluster, RecoverySession& session,
-                 VertexPartition& partition,
-                 std::vector<std::vector<VertexId>>& worker_vertices);
 
 }  // namespace gal
 

@@ -15,6 +15,14 @@ struct TrafficSnapshot {
   uint64_t cross_messages = 0;
   uint64_t local_bytes = 0;
   uint64_t local_messages = 0;
+
+  /// The traffic charged between `start` and this snapshot.
+  TrafficSnapshot operator-(const TrafficSnapshot& start) const {
+    return {cross_bytes - start.cross_bytes,
+            cross_messages - start.cross_messages,
+            local_bytes - start.local_bytes,
+            local_messages - start.local_messages};
+  }
 };
 
 /// One worker's view of the ledger (sums over its row/column).

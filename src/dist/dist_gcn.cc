@@ -152,8 +152,11 @@ DistGcnReport TrainDistGcn(const NodeClassificationDataset& dataset,
   const uint32_t num_workers = cluster->num_workers();
   const NetworkCostModel cost = cluster->cost_model();
   TrafficLedger& ledger = cluster->ledger();
-  const TrafficSnapshot run_start = ledger.Snapshot();
   const size_t clock_start = cluster->clock().rounds();
+  // The shared round barrier (cluster/checkpoint.h): each epoch is one
+  // of its rounds, priced on the clock, checkpointed, rolled back and
+  // rebalanced per the fault plan.
+  RecoverySession session(cluster, config.faults);
 
   VertexPartition parts = MakePartition(g, config.partition, num_workers,
                                         dataset.TrainVertices());
@@ -209,8 +212,7 @@ DistGcnReport TrainDistGcn(const NodeClassificationDataset& dataset,
     m.data() = std::move(data);
     return m;
   };
-  auto serialize_state = [&]() {
-    BlobWriter w;
+  auto save_state = [&](BlobWriter& w) {
     for (const Matrix* p : model.Parameters()) write_matrix(w, *p);
     w.Pod<uint64_t>(opt.step_count());
     w.Pod<uint64_t>(opt.first_moments().size());
@@ -225,10 +227,8 @@ DistGcnReport TrainDistGcn(const NodeClassificationDataset& dataset,
     };
     write_channels(forward_channels);
     write_channels(backward_channels);
-    return std::move(w).Take();
   };
-  auto restore_state = [&](const std::vector<uint8_t>& blob) {
-    BlobReader r(blob);
+  auto load_state = [&](BlobReader& r) {
     for (Matrix* p : model.Parameters()) *p = read_matrix(r);
     const uint64_t t = r.Pod<uint64_t>();
     const uint64_t moments = r.Pod<uint64_t>();
@@ -246,7 +246,6 @@ DistGcnReport TrainDistGcn(const NodeClassificationDataset& dataset,
     };
     read_channels(forward_channels);
     read_channels(backward_channels);
-    GAL_CHECK(r.exhausted()) << "trailing bytes in dist-GCN checkpoint";
   };
 
   // Charges one cluster-wide halo exchange of `mat` to the ledger.
@@ -347,26 +346,38 @@ DistGcnReport TrainDistGcn(const NodeClassificationDataset& dataset,
   KernelContext& kernel_ctx = KernelContext::Get();
   kernel_ctx.ResetKernelStats();
   // Each epoch is one VirtualClock round: the data-parallel compute
-  // share plus the ledger's cross-worker traffic delta. The clock's
-  // recorded rounds are replayed through the modeled pipeline executor
-  // (ModelClusterOverlap) after the loop and also kept on the report as
-  // traces for benches.
-  TrafficSnapshot prev = run_start;
-  // The fault-tolerance driver (cluster/checkpoint.h). Rebalancing is
-  // applied only when migrating vertices cannot change the math: under
-  // staleness, lossy wires, EC residuals, or P3's dimension split, the
-  // set of values crossing the wire depends on the partition, so a
-  // migration would perturb training — those configs keep their
-  // partition and rely on checkpoints alone.
-  RecoverySession session(cluster, config.faults);
+  // share plus the ledger's cross-worker traffic since the last barrier.
+  // The clock's recorded rounds are replayed through the modeled
+  // pipeline executor (ModelClusterOverlap) after the loop and also kept
+  // on the report as traces for benches.
+  //
+  // Rebalancing is applied only when migrating vertices cannot change
+  // the math: under staleness, lossy wires, EC residuals, or P3's
+  // dimension split, the set of values crossing the wire depends on the
+  // partition, so a migration would perturb training — those configs
+  // keep their partition and rely on checkpoints alone.
   const bool can_rebalance = config.sync == SyncMode::kBsp &&
                              config.quantization == Quantization::kNone &&
                              !config.error_compensation &&
                              !config.p3_feature_split;
-  if (session.WantsInitialCheckpoint()) {
-    session.Commit(RecoverySession::kInitialRound, serialize_state());
-    prev = ledger.Snapshot();
-  }
+  // Moved state on the wire: each vertex's raw feature row ships to its
+  // new owner (embeddings are recomputed, not shipped).
+  const uint64_t row_bytes =
+      static_cast<uint64_t>(dataset.features.cols()) * sizeof(float);
+  auto migrate = [&](uint32_t from) {
+    if (!session.MigrateAway(g, from, [&](VertexId) { return row_bytes; },
+                             parts)) {
+      return;
+    }
+    halos = ComputeHalos(g, parts);
+    halo_rows_per_exchange = 0;
+    for (const auto& h : halos) halo_rows_per_exchange += h.size();
+    SplitAdjacency(g, parts, AdjNorm::kSymmetric, &adj_local, &adj_remote);
+    report.edge_cut = EvaluatePartition(g, parts).edge_cut;
+  };
+  session.Start({save_state, load_state,
+                 can_rebalance ? std::function<void(uint32_t)>(migrate)
+                               : nullptr});
   while (epoch < config.epochs) {
     Timer compute_timer;
     Matrix logits = [&] {
@@ -384,12 +395,11 @@ DistGcnReport TrainDistGcn(const NodeClassificationDataset& dataset,
       opt.Step(grads);
     }
     // Data-parallel compute: each worker handles ~1/W of the rows.
-    // Scheduled stragglers stretch their worker's share before the
-    // round hits the clock (the span-form AdvanceRound takes the max).
+    // Scheduled stragglers stretch their worker's share at the barrier
+    // (the clock takes the max).
     const double epoch_compute =
         compute_timer.ElapsedSeconds() / std::max(1u, num_workers);
     std::vector<double> worker_compute(num_workers, epoch_compute);
-    session.ScaleCompute(epoch, std::span<double>(worker_compute));
 
     SoftmaxXentResult test =
         SoftmaxCrossEntropy(logits, dataset.labels, dataset.test_mask);
@@ -397,70 +407,14 @@ DistGcnReport TrainDistGcn(const NodeClassificationDataset& dataset,
     report.epoch_test_accuracy.push_back(
         test.total ? static_cast<double>(test.correct) / test.total : 0.0);
 
-    const TrafficSnapshot snap = ledger.Snapshot();
-    const uint64_t epoch_bytes = snap.cross_bytes - prev.cross_bytes;
-    const uint64_t epoch_msgs = snap.cross_messages - prev.cross_messages;
-    prev = snap;
-    // One BSP round on the shared clock. Messages floor at 1 so an
-    // epoch always pays at least one latency envelope, matching the
-    // pre-cluster accounting.
-    cluster->clock().AdvanceRound(std::span<const double>(worker_compute),
-                                  epoch_bytes,
-                                  std::max<uint64_t>(epoch_msgs, 1));
-
-    // Checkpoint / failure / rebalance barrier. The session charges its
-    // own ledger bytes and clock rounds, so `prev` re-snapshots after
-    // any commit or restore — checkpoint traffic must not leak into the
-    // next epoch's halo-exchange delta.
-    if (session.ShouldCheckpoint(epoch)) {
-      session.Commit(epoch, serialize_state());
-      prev = ledger.Snapshot();
+    // Messages floor at 1 so an epoch always pays at least one latency
+    // envelope, matching the pre-cluster accounting.
+    TrafficSnapshot traffic = session.PendingTraffic();
+    traffic.cross_messages = std::max<uint64_t>(traffic.cross_messages, 1);
+    if (session.EndRound(&epoch, worker_compute, traffic)) {
+      report.epoch_loss.resize(epoch);
+      report.epoch_test_accuracy.resize(epoch);
     }
-    uint32_t resume_epoch = 0;
-    if (const std::vector<uint8_t>* blob =
-            session.OnFailure(epoch, &resume_epoch)) {
-      restore_state(*blob);
-      report.epoch_loss.resize(resume_epoch);
-      report.epoch_test_accuracy.resize(resume_epoch);
-      epoch = resume_epoch;
-      prev = ledger.Snapshot();
-      continue;
-    }
-    if (can_rebalance && config.faults.rebalance().enabled &&
-        num_workers > 1) {
-      std::vector<double> worker_load(num_workers, 0.0);
-      for (VertexId v = 0; v < g.NumVertices(); ++v) {
-        worker_load[parts.assignment[v]] += 1.0;
-      }
-      const uint32_t straggler = session.RebalanceCandidate(
-          epoch, std::span<const double>(worker_load));
-      if (straggler != RecoverySession::kNoWorker) {
-        std::vector<VertexId> moved;
-        parts = RebalanceAway(g, parts, straggler,
-                              config.faults.rebalance().migrate_fraction,
-                              &moved);
-        // Moved state on the wire: each vertex's raw feature row ships
-        // to its new owner (embeddings are recomputed, not shipped).
-        const uint64_t row_bytes =
-            static_cast<uint64_t>(dataset.features.cols()) * sizeof(float);
-        std::vector<uint64_t> dst_bytes(num_workers, 0);
-        for (VertexId v : moved) dst_bytes[parts.assignment[v]] += row_bytes;
-        std::vector<std::pair<uint32_t, uint64_t>> per_dst;
-        for (uint32_t w = 0; w < num_workers; ++w) {
-          if (dst_bytes[w] > 0) per_dst.emplace_back(w, dst_bytes[w]);
-        }
-        session.CommitMigration(straggler, per_dst, moved.size());
-        halos = ComputeHalos(g, parts);
-        halo_rows_per_exchange = 0;
-        for (const auto& h : halos) halo_rows_per_exchange += h.size();
-        SplitAdjacency(g, parts, AdjNorm::kSymmetric, &adj_local,
-                       &adj_remote);
-        cluster->InstallPartition(parts);
-        report.edge_cut = EvaluatePartition(g, parts).edge_cut;
-        prev = ledger.Snapshot();
-      }
-    }
-    ++epoch;
   }
 
   const FaultStats& fault_stats = session.stats();
@@ -516,7 +470,7 @@ DistGcnReport TrainDistGcn(const NodeClassificationDataset& dataset,
       SoftmaxCrossEntropy(logits, dataset.labels, dataset.test_mask);
   report.final_test_accuracy =
       test.total ? static_cast<double>(test.correct) / test.total : 0.0;
-  report.comm_bytes = ledger.Snapshot().cross_bytes - run_start.cross_bytes;
+  report.comm_bytes = session.RunTraffic().cross_bytes;
   return report;
 }
 

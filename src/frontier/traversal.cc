@@ -18,19 +18,11 @@ struct alignas(64) StepCounters {
   uint64_t active = 0;
 };
 
-/// A traversal's state at the step barrier, as checkpoints see it:
-/// `save` appends it to a snapshot and `load` reads it back in the same
-/// order.
-struct BarrierState {
-  std::function<void(BlobWriter&)> save;
-  std::function<void(BlobReader&)> load;
-};
-
 /// The simulated-cluster scaffolding every frontier traversal shares:
 /// worker count and partition resolution, per-worker vertex buckets,
-/// exchange lanes, the ledger/clock bookkeeping of one step, and the
-/// fault-tolerance hooks at the step barrier. Step indices are 0-based
-/// and double as the RecoverySession's round numbers.
+/// exchange lanes, the wire charges of one step, and the step barrier,
+/// which is the shared RecoverySession's round barrier. Step indices are
+/// 0-based and double as the session's round numbers.
 class FrontierRuntime {
  public:
   /// `payload_bytes` is the size of one logical message (and of one
@@ -53,8 +45,6 @@ class FrontierRuntime {
         counters_(workers_),
         wire_msgs_(workers_, std::vector<uint64_t>(workers_, 0)),
         compute_seconds_(workers_, 0.0),
-        ledger_start_(cluster_->ledger().Snapshot()),
-        clock_start_(cluster_->clock().rounds()),
         session_(cluster_, options.faults) {
     cluster_->InstallPartition(partition_);
   }
@@ -65,13 +55,34 @@ class FrontierRuntime {
     return owned_vertices_[w];
   }
 
-  /// Registers the traversal's barrier state and, when the fault plan
-  /// can fail a worker, snapshots it as the pre-step-0 rollback point.
-  void Start(BarrierState state) {
-    state_ = std::move(state);
-    if (session_.WantsInitialCheckpoint()) {
-      session_.Commit(RecoverySession::kInitialRound, Snapshot());
-    }
+  /// Registers the traversal's state at the step barrier (`save`
+  /// appends it to a snapshot, `load` reads it back in the same order)
+  /// with the session, which snapshots it as the pre-step-0 rollback
+  /// point when the fault plan can fail a worker. The runtime adds the
+  /// surviving step schedule's length and its own migration hook.
+  void Start(RoundHooks traversal) {
+    session_.Start(
+        {[this, save = std::move(traversal.save)](BlobWriter& w) {
+           save(w);
+           w.Pod(stats_.steps);
+           w.Pod(stats_.push_steps);
+           w.Pod(stats_.pull_steps);
+         },
+         [this, load = std::move(traversal.load)](BlobReader& r) {
+           load(r);
+           stats_.steps = r.Pod<uint32_t>();
+           stats_.push_steps = r.Pod<uint32_t>();
+           stats_.pull_steps = r.Pod<uint32_t>();
+           stats_.per_step.resize(stats_.steps);
+         },
+         [this](uint32_t from) {
+           // A moved vertex ships its value and its frontier bit.
+           if (session_.MigrateAway(
+                   graph_, from, [&](VertexId) { return payload_bytes_ + 1; },
+                   partition_)) {
+             owned_vertices_ = VerticesByWorker(partition_);
+           }
+         }});
   }
 
   /// Runs fn(w) on every simulated worker (host threads are an
@@ -108,24 +119,17 @@ class FrontierRuntime {
   /// worker to every other — the frontier-bitmap shipment that lets a
   /// pull step test membership locally instead of messaging per edge.
   void ChargeBroadcast(uint64_t bytes_per_pair) {
-    TrafficLedger& ledger = cluster_->ledger();
     for (uint32_t src = 0; src < workers_; ++src) {
-      for (uint32_t dst = 0; dst < workers_; ++dst) {
-        if (src == dst) continue;
-        ledger.Charge(src, dst, bytes_per_pair, 1);
-        step_.wire_bytes += bytes_per_pair;
-        ++step_.wire_messages;
-      }
+      cluster_->ledger().ChargeBroadcast(src, bytes_per_pair);
     }
   }
 
   /// The step barrier, called once the traversal has installed the next
-  /// frontier. Charges the step's wire traffic to the ledger, advances
-  /// the virtual clock one round (compute stretched by any scheduled
-  /// slowdown), and folds the counters into the run's stats. Then, in
-  /// RecoverySession order: checkpoint, failure rollback, rebalance.
-  /// Returns the index of the step to run next — `step + 1`, or the
-  /// replay point after a rollback.
+  /// frontier. Charges the step's wire messages to the ledger, folds the
+  /// counters into the run's stats, and closes the session's round:
+  /// clock round, checkpoint, failure rollback, rebalance. Returns the
+  /// index of the step to run next — `step + 1`, or the replay point
+  /// after a rollback.
   uint32_t EndStep(uint32_t step) {
     for (const StepCounters& c : counters_) {
       step_.edges_scanned += c.edges;
@@ -136,15 +140,12 @@ class FrontierRuntime {
     for (uint32_t src = 0; src < workers_; ++src) {
       for (uint32_t dst = 0; dst < workers_; ++dst) {
         const uint64_t msgs = wire_msgs_[src][dst];
-        if (msgs == 0) continue;
-        ledger.Charge(src, dst, msgs * wire_message_bytes_, msgs);
-        step_.wire_messages += msgs;
-        step_.wire_bytes += msgs * wire_message_bytes_;
+        if (msgs > 0) ledger.Charge(src, dst, msgs * wire_message_bytes_, msgs);
       }
     }
-    session_.ScaleCompute(step, std::span<double>(compute_seconds_));
-    cluster_->clock().AdvanceRound(std::span<const double>(compute_seconds_),
-                                   step_.wire_bytes, step_.wire_messages);
+    const TrafficSnapshot traffic = session_.PendingTraffic();
+    step_.wire_messages = traffic.cross_messages;
+    step_.wire_bytes = traffic.cross_bytes;
     ++stats_.steps;
     if (step_.direction == Direction::kPush) ++stats_.push_steps;
     else ++stats_.pull_steps;
@@ -152,40 +153,16 @@ class FrontierRuntime {
     stats_.messages += step_.messages;
     stats_.vertex_activations += step_.active_vertices;
     stats_.per_step.push_back(step_);
-
-    if (!session_.active()) return step + 1;
-    if (session_.ShouldCheckpoint(step)) session_.Commit(step, Snapshot());
-    uint32_t resume = 0;
-    if (const std::vector<uint8_t>* blob = session_.OnFailure(step, &resume)) {
-      Restore(*blob);
-      return resume;
-    }
-    if (session_.plan().rebalance().enabled) {
-      // Deterministic load signal: owned vertices, scaled inside the
-      // session by each worker's scheduled slowdown.
-      std::vector<double> load(workers_);
-      for (uint32_t w = 0; w < workers_; ++w) {
-        load[w] = static_cast<double>(owned_vertices_[w].size());
-      }
-      const uint32_t straggler =
-          session_.RebalanceCandidate(step, std::span<const double>(load));
-      if (straggler != RecoverySession::kNoWorker) {
-        // A moved vertex ships its value and its frontier bit.
-        MigrateAway(
-            graph_, straggler,
-            [&](VertexId) { return payload_bytes_ + 1; }, *cluster_,
-            session_, partition_, owned_vertices_);
-      }
-    }
-    return step + 1;
+    session_.EndRound(&step, compute_seconds_, traffic);
+    return step;
   }
 
   /// Finalizes the run's stats from the ledger/clock deltas.
   FrontierTraversalStats Finish(uint32_t switches) {
-    const TrafficSnapshot end = cluster_->ledger().Snapshot();
-    stats_.wire_messages = end.cross_messages - ledger_start_.cross_messages;
-    stats_.wire_bytes = end.cross_bytes - ledger_start_.cross_bytes;
-    stats_.modeled_seconds = cluster_->clock().SecondsSince(clock_start_);
+    const TrafficSnapshot traffic = session_.RunTraffic();
+    stats_.wire_messages = traffic.cross_messages;
+    stats_.wire_bytes = traffic.cross_bytes;
+    stats_.modeled_seconds = session_.RunSeconds();
     stats_.wall_seconds = timer_.ElapsedSeconds();
     stats_.direction_switches = switches;
     stats_.faults = session_.stats();
@@ -193,26 +170,6 @@ class FrontierRuntime {
   }
 
  private:
-  /// The traversal's state plus the surviving step schedule's length.
-  std::vector<uint8_t> Snapshot() const {
-    BlobWriter w;
-    state_.save(w);
-    w.Pod(stats_.steps);
-    w.Pod(stats_.push_steps);
-    w.Pod(stats_.pull_steps);
-    return std::move(w).Take();
-  }
-
-  void Restore(const std::vector<uint8_t>& blob) {
-    BlobReader r(blob);
-    state_.load(r);
-    stats_.steps = r.Pod<uint32_t>();
-    stats_.push_steps = r.Pod<uint32_t>();
-    stats_.pull_steps = r.Pod<uint32_t>();
-    stats_.per_step.resize(stats_.steps);
-    GAL_CHECK(r.exhausted());
-  }
-
   Timer timer_;
   const Graph& graph_;
   std::unique_ptr<ClusterRuntime> owned_;
@@ -226,10 +183,7 @@ class FrontierRuntime {
   std::vector<StepCounters> counters_;
   std::vector<std::vector<uint64_t>> wire_msgs_;  // [src][dst], per step
   std::vector<double> compute_seconds_;
-  TrafficSnapshot ledger_start_;
-  size_t clock_start_;
   RecoverySession session_;
-  BarrierState state_;
   FrontierStep step_;  // the step in flight
   FrontierTraversalStats stats_;
 };

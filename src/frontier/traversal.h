@@ -35,7 +35,7 @@ struct FrontierEngineOptions {
   /// modeled round; rebalancing migrates vertices. Results are
   /// bit-identical to the fault-free run. The default resolves
   /// GAL_CLUSTER_FAULT_* (empty plan when unset); an empty plan costs
-  /// nothing per step.
+  /// a few branches and one ledger snapshot per step.
   FaultPlan faults = FaultPlan::FromEnvOrWarn();
   /// Simulated workers when `cluster` is null (0 = GAL_CLUSTER_WORKERS,
   /// else 4 — the same default every engine config uses).

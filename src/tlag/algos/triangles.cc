@@ -1,7 +1,8 @@
 #include "tlag/algos/triangles.h"
 
 #include <algorithm>
-#include <span>
+#include <numeric>
+#include <optional>
 #include <vector>
 
 #include "cluster/checkpoint.h"
@@ -37,6 +38,25 @@ struct alignas(64) WorkerTally {
   uint64_t ops = 0;
 };
 
+/// Folds one chunk-round's engine stats into the run's: the first
+/// round's are taken whole (span summaries included), later rounds add
+/// their counters and busy time.
+void AddRoundStats(const TaskEngineStats& round, TaskEngineStats& run) {
+  if (run.busy_seconds.empty()) {
+    run = round;
+    return;
+  }
+  run.tasks_executed += round.tasks_executed;
+  run.tasks_spawned += round.tasks_spawned;
+  run.steals += round.steals;
+  run.failed_steal_attempts += round.failed_steal_attempts;
+  run.parks += round.parks;
+  run.wall_seconds += round.wall_seconds;
+  for (size_t t = 0; t < round.busy_seconds.size(); ++t) {
+    run.busy_seconds[t] += round.busy_seconds[t];
+  }
+}
+
 }  // namespace
 
 TriangleCountResult SerialTriangleCount(const Graph& g) {
@@ -58,25 +78,34 @@ TriangleCountResult TaskTriangleCount(const Graph& g,
   Timer timer;
   TriangleCountResult result;
   const std::vector<std::vector<VertexId>> oriented = OrientByDegree(g);
-  // One padded tally per engine thread; contention-free during the run,
+  // One padded tally per engine thread; contention-free during a round,
   // folded after the engine drains.
   std::vector<WorkerTally> tallies(ResolveTaskThreads(config.num_threads));
 
   // Simulated-cluster attribution: make sure the runtime has a placement
-  // for this graph (hash by default, or whatever a caller pre-installed),
-  // then snapshot the ledger so the job's traffic is a clean delta.
+  // for this graph (hash by default, or whatever a caller pre-installed);
+  // the session marks the ledger so the job's traffic is a clean delta.
   ClusterRuntime* cluster = config.cluster;
   const VertexPartition* parts = nullptr;
-  TrafficSnapshot before;
-  size_t clock_mark = 0;
+  std::optional<RecoverySession> session;
   if (cluster != nullptr) {
     if (!cluster->has_partition() ||
         cluster->partition().assignment.size() != g.NumVertices()) {
       cluster->InstallPartition(HashPartition(g, cluster->num_workers()));
     }
     parts = &cluster->partition();
-    before = cluster->ledger().Snapshot();
-    clock_mark = cluster->clock().rounds();
+    session.emplace(cluster, config.faults);
+    // The checkpointed state is the folded {triangles, ops} running
+    // totals: the order-independent sum keeps recovered counts
+    // bit-identical to the failure-free run.
+    session->Start({[&](BlobWriter& w) {
+                      w.Pod(result.triangles);
+                      w.Pod(result.intersection_ops);
+                    },
+                    [&](BlobReader& r) {
+                      result.triangles = r.Pod<uint64_t>();
+                      result.intersection_ops = r.Pod<uint64_t>();
+                    }});
   }
 
   const auto process = [&](VertexId& v, TaskEngine<VertexId>::Context& ctx) {
@@ -94,141 +123,55 @@ TriangleCountResult TaskTriangleCount(const Graph& g,
     }
   };
 
-  if (cluster == nullptr || config.faults.empty()) {
-    // Fast path: one work-stealing pass over all vertex tasks.
-    std::vector<VertexId> tasks(g.NumVertices());
-    for (VertexId v = 0; v < g.NumVertices(); ++v) tasks[v] = v;
-    TaskEngine<VertexId> engine(config);
-    result.task_stats = engine.Run(std::move(tasks), process);
+  // The vertex-task list runs as chunk-rounds, each one work-stealing
+  // pass closed by the session's round barrier. A fault plan slices it
+  // into 16 rounds, so a failure replays only the chunks since the last
+  // checkpoint and stragglers stretch single rounds; otherwise the whole
+  // list is one round. (No rebalancing: work-stealing already balances
+  // within a round.)
+  const VertexId n = g.NumVertices();
+  const VertexId rounds = session && !config.faults.empty() ? 16 : 1;
+  const VertexId chunk = std::max<VertexId>(1, (n + rounds - 1) / rounds);
+  const uint32_t num_rounds = std::max<VertexId>(1, (n + chunk - 1) / chunk);
+  TaskEngine<VertexId> engine(config);
+  uint32_t round = 0;
+  while (round < num_rounds) {
+    const VertexId begin = round * chunk;
+    std::vector<VertexId> tasks(std::min<VertexId>(n, begin + chunk) - begin);
+    std::iota(tasks.begin(), tasks.end(), begin);
+    for (WorkerTally& tally : tallies) tally = WorkerTally{};
+    const TaskEngineStats round_stats = engine.Run(std::move(tasks), process);
     for (const WorkerTally& tally : tallies) {
       result.triangles += tally.triangles;
       result.intersection_ops += tally.ops;
     }
-    result.wall_seconds = timer.ElapsedSeconds();
-
-    if (cluster != nullptr) {
-      // Fold host-thread busy time onto simulated workers (thread t ran
-      // worker t mod W) and close the job as one BSP round on the shared
-      // clock.
-      std::vector<double> worker_compute(cluster->num_workers(), 0.0);
-      for (size_t t = 0; t < result.task_stats.busy_seconds.size(); ++t) {
-        worker_compute[t % cluster->num_workers()] +=
-            result.task_stats.busy_seconds[t];
-      }
-      const TrafficSnapshot after = cluster->ledger().Snapshot();
-      const uint64_t cross_bytes = after.cross_bytes - before.cross_bytes;
-      const uint64_t cross_msgs = after.cross_messages - before.cross_messages;
-      cluster->clock().AdvanceRound(worker_compute, cross_bytes, cross_msgs);
-      result.migrated_bytes = cross_bytes;
-      result.data_touched_bytes =
-          cross_bytes + (after.local_bytes - before.local_bytes);
-      result.modeled_seconds = cluster->clock().SecondsSince(clock_mark);
-    }
-    return result;
-  }
-
-  // Elastic fault-tolerant path: the vertex-task list is sliced into
-  // chunk-rounds so the run has BSP barriers for the shared
-  // RecoverySession to checkpoint at, inject failures into, and stretch
-  // with stragglers — the same hooks TLAV supersteps and dist-GCN epochs
-  // use. The checkpointed state is the folded {triangles, ops} running
-  // totals: a worker failure replays only the chunks since the last
-  // checkpoint, and the order-independent sum makes the recovered counts
-  // bit-identical to the failure-free run. (No rebalancing here —
-  // work-stealing already balances within each chunk.)
-  const uint32_t num_workers = cluster->num_workers();
-  RecoverySession session(cluster, config.faults);
-  uint64_t done_triangles = 0;
-  uint64_t done_ops = 0;
-  auto snapshot_totals = [&]() {
-    BlobWriter w;
-    w.Pod<uint64_t>(done_triangles);
-    w.Pod<uint64_t>(done_ops);
-    return std::move(w).Take();
-  };
-  if (session.WantsInitialCheckpoint()) {
-    session.Commit(RecoverySession::kInitialRound, snapshot_totals());
-  }
-
-  constexpr VertexId kChunkRounds = 16;
-  const VertexId n = g.NumVertices();
-  const VertexId chunk = (n + kChunkRounds - 1) / kChunkRounds;
-  const uint32_t num_rounds =
-      chunk == 0 ? 0 : static_cast<uint32_t>((n + chunk - 1) / chunk);
-  result.task_stats.busy_seconds.assign(ResolveTaskThreads(config.num_threads),
-                                        0.0);
-  TrafficSnapshot prev = before;
-  uint32_t round = 0;
-  while (round < num_rounds) {
-    const VertexId begin = round * chunk;
-    const VertexId end = std::min<VertexId>(n, begin + chunk);
-    std::vector<VertexId> tasks;
-    tasks.reserve(end - begin);
-    for (VertexId v = begin; v < end; ++v) tasks.push_back(v);
-    for (WorkerTally& tally : tallies) tally = WorkerTally{};
-
-    TaskEngine<VertexId> engine(config);
-    const TaskEngineStats round_stats = engine.Run(std::move(tasks), process);
-    for (const WorkerTally& tally : tallies) {
-      done_triangles += tally.triangles;
-      done_ops += tally.ops;
-    }
-    result.task_stats.tasks_executed += round_stats.tasks_executed;
-    result.task_stats.tasks_spawned += round_stats.tasks_spawned;
-    result.task_stats.steals += round_stats.steals;
-    result.task_stats.failed_steal_attempts +=
-        round_stats.failed_steal_attempts;
-    result.task_stats.parks += round_stats.parks;
-    result.task_stats.wall_seconds += round_stats.wall_seconds;
-    for (size_t t = 0; t < round_stats.busy_seconds.size(); ++t) {
-      result.task_stats.busy_seconds[t] += round_stats.busy_seconds[t];
-    }
-
-    std::vector<double> worker_compute(num_workers, 0.0);
-    for (size_t t = 0; t < round_stats.busy_seconds.size(); ++t) {
-      worker_compute[t % num_workers] += round_stats.busy_seconds[t];
-    }
-    session.ScaleCompute(round, std::span<double>(worker_compute));
-    const TrafficSnapshot after = cluster->ledger().Snapshot();
-    cluster->clock().AdvanceRound(
-        std::span<const double>(worker_compute),
-        after.cross_bytes - prev.cross_bytes,
-        after.cross_messages - prev.cross_messages);
-    prev = after;
-
-    if (session.ShouldCheckpoint(round)) {
-      session.Commit(round, snapshot_totals());
-      prev = cluster->ledger().Snapshot();
-    }
-    uint32_t resume_round = 0;
-    if (const std::vector<uint8_t>* blob =
-            session.OnFailure(round, &resume_round)) {
-      BlobReader r(*blob);
-      done_triangles = r.Pod<uint64_t>();
-      done_ops = r.Pod<uint64_t>();
-      GAL_CHECK(r.exhausted());
-      round = resume_round;
-      prev = cluster->ledger().Snapshot();
+    AddRoundStats(round_stats, result.task_stats);
+    if (!session) {
+      ++round;
       continue;
     }
-    ++round;
+    // Fold host-thread busy time onto simulated workers (thread t ran
+    // worker t mod W).
+    std::vector<double> worker_compute(cluster->num_workers(), 0.0);
+    for (size_t t = 0; t < round_stats.busy_seconds.size(); ++t) {
+      worker_compute[t % worker_compute.size()] += round_stats.busy_seconds[t];
+    }
+    session->EndRound(&round, worker_compute, session->PendingTraffic());
   }
-
-  result.triangles = done_triangles;
-  result.intersection_ops = done_ops;
   result.wall_seconds = timer.ElapsedSeconds();
 
-  const TrafficSnapshot after = cluster->ledger().Snapshot();
-  result.migrated_bytes = after.cross_bytes - before.cross_bytes;
-  result.data_touched_bytes = result.migrated_bytes +
-                              (after.local_bytes - before.local_bytes);
-  result.modeled_seconds = cluster->clock().SecondsSince(clock_mark);
-  const FaultStats& fault_stats = session.stats();
-  result.checkpoints_taken = fault_stats.checkpoints_taken;
-  result.checkpoint_bytes = fault_stats.checkpoint_bytes;
-  result.restored_bytes = fault_stats.restored_bytes;
-  result.failures_recovered = fault_stats.failures_recovered;
-  result.recomputed_rounds = fault_stats.recomputed_rounds;
+  if (session) {
+    const TrafficSnapshot traffic = session->RunTraffic();
+    result.migrated_bytes = traffic.cross_bytes;
+    result.data_touched_bytes = traffic.cross_bytes + traffic.local_bytes;
+    result.modeled_seconds = session->RunSeconds();
+    const FaultStats& fault_stats = session->stats();
+    result.checkpoints_taken = fault_stats.checkpoints_taken;
+    result.checkpoint_bytes = fault_stats.checkpoint_bytes;
+    result.restored_bytes = fault_stats.restored_bytes;
+    result.failures_recovered = fault_stats.failures_recovered;
+    result.recomputed_rounds = fault_stats.recomputed_rounds;
+  }
   return result;
 }
 

@@ -24,7 +24,7 @@ struct TriangleCountResult {
   /// TaskEngineConfig::cluster is set: every oriented adjacency row a
   /// task intersects is charged to the row's home partition on the
   /// runtime's ledger. `migrated_bytes` is the subset homed off the
-  /// executing worker — what a real cluster would move; the job also
+  /// executing worker — what a real cluster would move. Each chunk-round
   /// closes one VirtualClock round (max worker busy + transfer time).
   uint64_t data_touched_bytes = 0;
   uint64_t migrated_bytes = 0;

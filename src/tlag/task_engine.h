@@ -88,11 +88,12 @@ struct TaskEngineConfig {
   /// runtime beyond ledger charges.
   ClusterRuntime* cluster = nullptr;
   /// Shared fault-tolerance schedule (cluster/fault.h). The task engine
-  /// itself is a single work-stealing pass with no rounds; algorithms
-  /// that want checkpoint/recovery (e.g. TaskTriangleCount) slice their
-  /// task list into chunk-rounds and drive a RecoverySession across the
-  /// chunks. Ignored when `cluster` is null — fault injection is a
-  /// property of the simulated cluster, not of host threads.
+  /// itself is one work-stealing pass with no rounds; TaskTriangleCount
+  /// runs its task list as chunk-rounds (16 under a non-empty plan, else
+  /// one) and closes each at the RecoverySession round barrier, which
+  /// checkpoints, rolls back and stretches stragglers per the plan.
+  /// Ignored when `cluster` is null — fault injection is a property of
+  /// the simulated cluster, not of host threads.
   FaultPlan faults = FaultPlan::FromEnvOrWarn();
 };
 

@@ -210,7 +210,6 @@ class TlavEngine {
             cluster_, config_.message_overhead_bytes)) {
     GAL_CHECK(partition_.assignment.size() == graph_->NumVertices());
     GAL_CHECK(partition_.num_parts == config_.num_workers);
-    cluster_->InstallPartition(partition_);
     const VertexId n = graph_->NumVertices();
     values_.resize(n);
     halted_.assign(n, 0);
@@ -338,15 +337,14 @@ class TlavEngine {
   uint32_t superstep_ = 0;
   TlavStats stats_;
 
-  /// A consistent cut at the superstep barrier for the shared
-  /// CheckpointStore: vertex values, halt flags, the delivered inbox
-  /// (the in-flight messages of the next superstep), aggregator state,
-  /// and the per-step stats length to truncate back to on rollback.
-  std::vector<uint8_t> SerializeState() const {
+  /// A consistent cut at the superstep barrier for the round barrier's
+  /// snapshots: vertex values, halt flags, the delivered inbox (the
+  /// in-flight messages of the next superstep), aggregator state, and
+  /// the per-step stats length to truncate back to on rollback.
+  void SaveState(BlobWriter& w) const {
     static_assert(std::is_trivially_copyable_v<V> &&
                       std::is_trivially_copyable_v<M>,
                   "TLAV checkpointing snapshots V/M by bytes");
-    BlobWriter w;
     w.Vec(values_);
     w.Vec(halted_);
     w.Pod<uint64_t>(inbox_.size());
@@ -360,11 +358,9 @@ class TlavEngine {
       w.Pod(agg.previous);
     }
     w.Pod<uint64_t>(stats_.per_step.size());
-    return std::move(w).Take();
   }
 
-  void RestoreState(const std::vector<uint8_t>& blob) {
-    BlobReader r(blob);
+  void LoadState(BlobReader& r) {
     values_ = r.template Vec<V>();
     halted_ = r.template Vec<uint8_t>();
     const uint64_t boxes = r.template Pod<uint64_t>();
@@ -382,7 +378,6 @@ class TlavEngine {
       aggregators_[name] = agg;
     }
     stats_.per_step.resize(r.template Pod<uint64_t>());
-    GAL_CHECK(r.exhausted());
   }
 };
 
@@ -456,20 +451,30 @@ TlavStats TlavEngine<V, M>::Run(VertexProgram<V, M>& program) {
     };
   }
   channel_->Begin(std::move(combiner));
-  const TrafficSnapshot ledger_start = cluster_->ledger().Snapshot();
-  const size_t clock_start = cluster_->clock().rounds();
+  // Installed per run, not at construction: another job on a shared
+  // runtime may have installed its own placement in between, and the
+  // round barrier reads its load signal from the installed one.
+  cluster_->InstallPartition(partition_);
   std::vector<double> compute_seconds(workers, 0.0);
 
-  // The shared fault-tolerance driver: checkpoints, injected failures,
-  // straggler slowdowns, and rebalancing all flow through this session
-  // against the runtime's ledger and clock.
+  // The shared round barrier: it prices each superstep on the clock and
+  // runs checkpoints, injected failures, straggler slowdowns, and
+  // rebalancing against the runtime's ledger.
   RecoverySession session(cluster_, config_.faults);
-  if (session.WantsInitialCheckpoint()) {
-    session.Commit(RecoverySession::kInitialRound, SerializeState());
-  }
-  std::vector<double> worker_load(workers, 0.0);
+  session.Start({[this](BlobWriter& w) { SaveState(w); },
+                 [this](BlobReader& r) { LoadState(r); },
+                 [&](uint32_t from) {
+                   // A moved vertex ships its value, halt flag and
+                   // queued inbox.
+                   const auto state_bytes = [&](VertexId v) {
+                     return sizeof(V) + 1 + inbox_[v].size() * sizeof(M);
+                   };
+                   if (session.MigrateAway(*graph_, from, state_bytes,
+                                           partition_)) {
+                     worker_vertices_ = VerticesByWorker(partition_);
+                   }
+                 }});
 
-  uint64_t pending_messages = 0;
   superstep_ = 0;
   while (superstep_ < config_.max_supersteps) {
     // Compute phase: each simulated worker processes its own vertices
@@ -492,9 +497,6 @@ TlavStats TlavEngine<V, M>::Run(VertexProgram<V, M>& program) {
       active_count.fetch_add(active);
       compute_seconds[w] = worker_timer.ElapsedSeconds();
     });
-    // Straggler injection: scheduled slowdown factors scale the modeled
-    // per-worker compute before the round is priced.
-    session.ScaleCompute(superstep_, std::span<double>(compute_seconds));
 
     // Message delivery phase (the BSP barrier): the exchange channel
     // charges the step's wire traffic to the cluster ledger and routes
@@ -514,11 +516,6 @@ TlavStats TlavEngine<V, M>::Run(VertexProgram<V, M>& program) {
     stats_.mirrored_deliveries += totals.mirrored;
     std::swap(inbox_, next_inbox_);
 
-    // The modeled cluster round: slowest worker + this step's wire time.
-    cluster_->clock().AdvanceRound(
-        std::span<const double>(compute_seconds), totals.cross_bytes,
-        totals.cross_messages);
-
     // Aggregator barrier.
     for (auto& [name, agg] : aggregators_) {
       agg.previous = agg.current;
@@ -535,58 +532,24 @@ TlavStats TlavEngine<V, M>::Run(VertexProgram<V, M>& program) {
     }
     stats_.per_step.push_back({active_count.load(), step_messages});
 
-    // --- shared checkpoint / recovery / rebalance hooks ---------------
-    // The snapshot lands at the superstep barrier: values, halt flags,
-    // and the just-delivered inbox (the in-flight messages of the next
-    // superstep). Its bytes ride the ledger, its transfer time the clock.
-    if (session.ShouldCheckpoint(superstep_)) {
-      session.Commit(superstep_, SerializeState());
-    }
-    uint32_t resume_superstep = 0;
-    if (const std::vector<uint8_t>* blob =
-            session.OnFailure(superstep_, &resume_superstep)) {
-      RestoreState(*blob);
+    // The modeled cluster round (slowest, possibly slowed, worker + the
+    // step's wire time), then checkpoint / rollback / rebalance. The
+    // snapshot holds the just-delivered inbox: the in-flight messages
+    // of the next superstep.
+    if (session.EndRound(&superstep_, compute_seconds,
+                         session.PendingTraffic())) {
       for (auto& box : next_inbox_) box.clear();
       channel_->Clear();
-      superstep_ = resume_superstep;
-      continue;  // replay from the superstep after the checkpoint
+      // Replay from the restored cut. Skip the termination check: this
+      // step's halt and message counts no longer describe the state.
+      continue;
     }
-    if (config_.faults.rebalance().enabled) {
-      // Deterministic load signal: owned vertices, scaled inside the
-      // session by each worker's scheduled slowdown.
-      for (uint32_t w = 0; w < workers; ++w) {
-        worker_load[w] = static_cast<double>(worker_vertices_[w].size());
-      }
-      const uint32_t straggler = session.RebalanceCandidate(
-          superstep_, std::span<const double>(worker_load));
-      if (straggler != RecoverySession::kNoWorker) {
-        // A moved vertex ships its value, halt flag and queued inbox.
-        MigrateAway(
-            *graph_, straggler,
-            [&](VertexId v) {
-              return sizeof(V) + 1 + inbox_[v].size() * sizeof(M);
-            },
-            *cluster_, session, partition_, worker_vertices_);
-      }
+    if (step_messages == 0 &&
+        (active_count.load() == 0 ||
+         std::all_of(halted_.begin(), halted_.end(),
+                     [](uint8_t h) { return h != 0; }))) {
+      break;  // every vertex halted with no message in flight
     }
-
-    pending_messages = step_messages;
-    if (active_count.load() == 0 && pending_messages == 0) break;
-    if (pending_messages == 0) {
-      // Check whether everything halted this step.
-      bool all_halted = true;
-      for (uint8_t h : halted_) {
-        if (!h) {
-          all_halted = false;
-          break;
-        }
-      }
-      if (all_halted) {
-        ++superstep_;
-        break;
-      }
-    }
-    ++superstep_;
   }
 
   // Trim: the final bookkeeping step with zero activity is not a superstep.
@@ -598,11 +561,10 @@ TlavStats TlavEngine<V, M>::Run(VertexProgram<V, M>& program) {
   stats_.wall_seconds = timer.ElapsedSeconds();
   // Cross-worker traffic is read back from the ledger: TlavStats is a
   // view over this run's ledger delta.
-  const TrafficSnapshot ledger_end = cluster_->ledger().Snapshot();
-  stats_.cross_worker_messages =
-      ledger_end.cross_messages - ledger_start.cross_messages;
-  stats_.cross_worker_bytes = ledger_end.cross_bytes - ledger_start.cross_bytes;
-  stats_.modeled_seconds = cluster_->clock().SecondsSince(clock_start);
+  const TrafficSnapshot traffic = session.RunTraffic();
+  stats_.cross_worker_messages = traffic.cross_messages;
+  stats_.cross_worker_bytes = traffic.cross_bytes;
+  stats_.modeled_seconds = session.RunSeconds();
   stats_.SetFaultStats(session.stats());
   return stats_;
 }

@@ -10,6 +10,7 @@
 // frontier direction.
 
 #include <cstdlib>
+#include <functional>
 #include <span>
 #include <string>
 #include <utility>
@@ -618,6 +619,50 @@ TEST(FaultParityTest, CheckpointBytesAreExactOnTheLedger) {
   EXPECT_EQ(faulty_cross - clean_cross,
             faulty_result.stats.checkpoint_bytes +
                 faulty_result.stats.restored_bytes);
+}
+
+// Every cross-worker byte a job charges is priced on exactly one of its
+// clock rounds: the comm_bytes of the job's rounds sum to its cross-byte
+// ledger delta, checkpoint, restore and replayed traffic included. The
+// three jobs share one cluster, so each also starts from a ledger and
+// clock that an earlier job left behind.
+TEST(FaultParityTest, EveryWireByteIsPricedOnOneRound) {
+  const Graph g = Rmat(10, 8, 7);
+  const FaultPlan plan = FaultPlan{}.CheckpointEvery(4).FailWorkerAt(1, 6);
+  ClusterRuntime cluster(ClusterOptions{4, {}});
+  auto expect_priced = [&](const char* job, const std::function<void()>& run) {
+    const uint64_t bytes_before = cluster.ledger().Snapshot().cross_bytes;
+    const size_t first_round = cluster.clock().rounds();
+    run();
+    uint64_t priced = 0;
+    for (const ClusterRound& r : cluster.clock().RoundsSince(first_round)) {
+      priced += r.comm_bytes;
+    }
+    EXPECT_EQ(priced, cluster.ledger().Snapshot().cross_bytes - bytes_before)
+        << job;
+  };
+
+  expect_priced("TaskTriangleCount", [&] {
+    TaskEngineConfig config;
+    config.cluster = &cluster;
+    config.faults = plan;
+    EXPECT_EQ(TaskTriangleCount(g, config).failures_recovered, 1u);
+  });
+  expect_priced("PageRank", [&] {
+    PageRankOptions options;
+    options.engine.cluster = &cluster;
+    options.engine.faults = plan;
+    EXPECT_EQ(PageRank(g, options).stats.failures_recovered, 1u);
+  });
+  expect_priced("FrontierBfs", [&] {
+    FrontierEngineOptions options;
+    options.cluster = &cluster;
+    options.faults = plan;
+    // BFS ends before the failure round; its checkpoints still count.
+    const FrontierBfsResult r = FrontierBfs(g, 0, options);
+    ASSERT_TRUE(r.status.ok());
+    EXPECT_GT(r.stats.faults.checkpoints_taken, 0u);
+  });
 }
 
 // --- live rebalancing -------------------------------------------------------

@@ -13,6 +13,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "graph/generators.h"
@@ -27,8 +29,16 @@
 namespace gal {
 namespace {
 
+/// A shard-store base path unique to the running test: ctest runs the
+/// cases of one fixture as concurrent processes, so a fixed name per
+/// fixture would let one case's files clobber another's.
 std::string TempBase(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
+  const ::testing::TestInfo* test =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  const std::string unique = name + "_" + test->test_suite_name() + "_" +
+                             test->name() + "_" +
+                             std::to_string(::getpid());
+  return (std::filesystem::temp_directory_path() / unique).string();
 }
 
 /// Clears the OOC env knobs for the duration of a test that asserts
