@@ -42,9 +42,12 @@ cmake --build build-tsan --target gal_tests -j "${JOBS}"
 # CompressedCsrTest) sweep thread and worker counts over the reordered
 # and compressed layouts and vector kernels — the per-worker triangle
 # tallies, the per-worker decode scratch, and the SIMD dispatch flag are
-# the shared state TSan watches there.
+# the shared state TSan watches there. TrianglesTest.* runs the task
+# triangle counter at several thread counts: every task thread reads the
+# shared OrientedRows, bumps its own padded tally, and charges the
+# cluster ledger concurrently.
 ./build-tsan/tests/gal_tests \
-    --gtest_filter='PipelineTest.*:ThreadPoolTest.*:TaskEngineTest.*:WorkDequeTest.*:MatchDeterminismTest.*:KernelContextTest.*:KernelParityTest.*:TensorTest.*:MatrixTest.*:SparseTest.*:CoreBudgetTest.*:TrafficLedgerTest.*:VirtualClockTest.*:ClusterRuntimeTest.*:ExchangeChannelTest.*:ClusterExchangeTest.*:TlavEngineTest.Mirroring*:FrontierBitmapTest.*:SlidingQueueTest.*:VertexFrontierTest.*:Workers/FrontierParityTest.*:FrontierTraversalTest.*:GraphReorderTest.*:ReorderSimdParityTest.*:IntersectTest.*:SimdTest.*:CompressedCsrTest.*:DistGcnTest.OverlapReducesSimulatedTime:DistGcnTest.ReportExposesTracesAndOverlapOccupancy:DistGcnTest.CommChannelsRelieveCommBoundOverlap'
+    --gtest_filter='PipelineTest.*:ThreadPoolTest.*:TaskEngineTest.*:TrianglesTest.*:WorkDequeTest.*:MatchDeterminismTest.*:KernelContextTest.*:KernelParityTest.*:TensorTest.*:MatrixTest.*:SparseTest.*:CoreBudgetTest.*:TrafficLedgerTest.*:VirtualClockTest.*:ClusterRuntimeTest.*:ExchangeChannelTest.*:ClusterExchangeTest.*:TlavEngineTest.Mirroring*:FrontierBitmapTest.*:SlidingQueueTest.*:VertexFrontierTest.*:Workers/FrontierParityTest.*:FrontierTraversalTest.*:GraphReorderTest.*:ReorderSimdParityTest.*:IntersectTest.*:SimdTest.*:CompressedCsrTest.*:DistGcnTest.OverlapReducesSimulatedTime:DistGcnTest.ReportExposesTracesAndOverlapOccupancy:DistGcnTest.CommChannelsRelieveCommBoundOverlap'
 
 echo
 echo "== ooc: out-of-core shard substrate (ctest label) =="

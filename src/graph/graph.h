@@ -201,6 +201,11 @@ class Graph {
       for (; p != end; ++p) fn(*p);
       return;
     }
+    // Bounded by degree, not by bytes (unlike PinnedShard's byte-bounded
+    // row loop): the exit test then depends only on a counter, so the
+    // branch never waits on the serial varint decode chain. Sharing one
+    // byte-bounded decoder with PinnedShard slowed the DFS matcher by
+    // about 25% (perfbench mining match_s 0.73-0.94 s -> 1.04-1.17 s).
     const uint32_t degree = Degree(v);
     if (degree == 0) return;
     const uint8_t* p = compressed_->bytes.data() + compressed_->row_offsets[v];

@@ -10,6 +10,7 @@
 #include "common/timer.h"
 #include "graph/components.h"
 #include "graph/intersect.h"
+#include "tlag/algos/triangles.h"
 #include "tlav/algos/pagerank.h"
 
 namespace gal {
@@ -210,32 +211,12 @@ OocTriangleResult OocTriangleCount(const ShardedGraph& g,
   Timer timer;
   const uint32_t threads = ResolveTaskThreads(options.engine.num_threads);
 
-  /// One shard's flattened oriented rows: row i holds vertex begin+i's
-  /// oriented neighbors, sorted.
-  struct OrientedRows {
-    std::vector<uint32_t> start;
-    std::vector<VertexId> rows;
-    std::span<const VertexId> Row(size_t i) const {
-      return {rows.data() + start[i], start[i + 1] - start[i]};
-    }
-  };
-  // Orientation keeps (deg(u), u) > (deg(v), v) — identical filter to
-  // OrientByDegree, evaluated on RAM-resident degrees, so every
+  // Orientation is evaluated on RAM-resident degrees, so every
   // IntersectCount below sees the same operands as the in-memory run.
-  // Pins shard s only for the flattening.
-  auto flatten = [&g](uint32_t s, OrientedRows& out) {
-    const ShardInfo& info = g.shard(s);
-    out.start.assign(info.NumVertices() + 1, 0);
-    out.rows.clear();
-    PinnedShard pin = g.Pin(s);
-    for (VertexId v = info.begin; v < info.end; ++v) {
-      const uint32_t dv = g.Degree(v);
-      pin.ForEachOutNeighbor(v, [&](VertexId u) {
-        const uint32_t du = g.Degree(u);
-        if (du > dv || (du == dv && u > v)) out.rows.push_back(u);
-      });
-      out.start[v - info.begin + 1] = static_cast<uint32_t>(out.rows.size());
-    }
+  // Pins shard s only for the build.
+  const auto build = [&g](uint32_t s, OrientedRows& out) {
+    const PinnedShard pin = g.Pin(s);
+    out.Build(pin, g, pin.begin(), pin.end());
   };
 
   /// Per-thread workspace, cache-line padded like the in-memory tally:
@@ -244,7 +225,7 @@ OocTriangleResult OocTriangleCount(const ShardedGraph& g,
   struct alignas(64) Scratch {
     OrientedRows source;
     OrientedRows target;
-    std::vector<uint32_t> cursor;
+    std::vector<EdgeId> cursor;
     std::vector<uint8_t> wanted;  // [shard] some source row points into it
     uint64_t triangles = 0;
     uint64_t ops = 0;
@@ -258,9 +239,9 @@ OocTriangleResult OocTriangleCount(const ShardedGraph& g,
   result.task_stats = engine.Run(
       std::move(tasks), [&](uint32_t& s, TaskEngine<uint32_t>::Context& ctx) {
         Scratch& sc = scratch[ctx.thread_id()];
-        // Phase 1: pin s once, flatten its oriented rows, and note the
+        // Phase 1: pin s once, build its oriented rows, and note the
         // target shards they point into.
-        flatten(s, sc.source);
+        build(s, sc.source);
         const size_t num_rows = sc.source.start.size() - 1;
         sc.wanted.assign(num_shards, 0);
         for (VertexId u : sc.source.rows) sc.wanted[g.ShardOf(u)] = 1;
@@ -272,16 +253,17 @@ OocTriangleResult OocTriangleCount(const ShardedGraph& g,
         // thread never holds two pins. t == s reuses phase 1's rows.
         for (uint32_t t = 0; t < num_shards; ++t) {
           if (!sc.wanted[t]) continue;
-          if (t != s) flatten(t, sc.target);
+          if (t != s) build(t, sc.target);
           const OrientedRows& target = t == s ? sc.source : sc.target;
-          const ShardInfo& tinfo = g.shard(t);
+          const VertexId tend = g.shard(t).end;
           for (size_t i = 0; i < num_rows; ++i) {
-            const std::span<const VertexId> ov = sc.source.Row(i);
-            uint32_t& c = sc.cursor[i];
-            for (; c < sc.source.start[i + 1] && sc.source.rows[c] < tinfo.end;
+            const std::span<const VertexId> ov =
+                sc.source.Row(sc.source.begin + static_cast<VertexId>(i));
+            EdgeId& c = sc.cursor[i];
+            for (; c < sc.source.start[i + 1] && sc.source.rows[c] < tend;
                  ++c) {
-              sc.triangles += IntersectCount(
-                  ov, target.Row(sc.source.rows[c] - tinfo.begin), &sc.ops);
+              sc.triangles +=
+                  IntersectCount(ov, target.Row(sc.source.rows[c]), &sc.ops);
             }
           }
         }

@@ -14,23 +14,6 @@
 namespace gal {
 namespace {
 
-/// Builds the degree-oriented adjacency: for each v, neighbors u with
-/// (deg(u), u) > (deg(v), v), kept sorted by id. Orientation makes every
-/// triangle counted exactly once and bounds out-degrees by O(sqrt(|E|))
-/// on arbitrary graphs.
-std::vector<std::vector<VertexId>> OrientByDegree(const Graph& g) {
-  const VertexId n = g.NumVertices();
-  std::vector<std::vector<VertexId>> out(n);
-  for (VertexId v = 0; v < n; ++v) {
-    const uint32_t dv = g.Degree(v);
-    g.ForEachOutNeighbor(v, [&](VertexId u) {
-      const uint32_t du = g.Degree(u);
-      if (du > dv || (du == dv && u > v)) out[v].push_back(u);
-    });
-  }
-  return out;
-}
-
 /// Per-worker triangle/ops tally, padded to a cache line so concurrent
 /// workers never share one — the ledger idiom; folded once at the end.
 struct alignas(64) WorkerTally {
@@ -62,11 +45,12 @@ void AddRoundStats(const TaskEngineStats& round, TaskEngineStats& run) {
 TriangleCountResult SerialTriangleCount(const Graph& g) {
   Timer timer;
   TriangleCountResult result;
-  const std::vector<std::vector<VertexId>> oriented = OrientByDegree(g);
+  OrientedRows oriented;
+  oriented.Build(g, g, 0, g.NumVertices());
   for (VertexId v = 0; v < g.NumVertices(); ++v) {
-    for (VertexId u : oriented[v]) {
-      result.triangles +=
-          IntersectCount(oriented[v], oriented[u], &result.intersection_ops);
+    for (VertexId u : oriented.Row(v)) {
+      result.triangles += IntersectCount(oriented.Row(v), oriented.Row(u),
+                                         &result.intersection_ops);
     }
   }
   result.wall_seconds = timer.ElapsedSeconds();
@@ -77,7 +61,8 @@ TriangleCountResult TaskTriangleCount(const Graph& g,
                                       const TaskEngineConfig& config) {
   Timer timer;
   TriangleCountResult result;
-  const std::vector<std::vector<VertexId>> oriented = OrientByDegree(g);
+  OrientedRows oriented;
+  oriented.Build(g, g, 0, g.NumVertices());
   // One padded tally per engine thread; contention-free during a round,
   // folded after the engine drains.
   std::vector<WorkerTally> tallies(ResolveTaskThreads(config.num_threads));
@@ -108,18 +93,22 @@ TriangleCountResult TaskTriangleCount(const Graph& g,
                     }});
   }
 
+  // Owner computes: the task for v runs on v's home worker, so every
+  // row it reads is charged from the row's home to v's — exact at any
+  // host thread count, whichever thread ran the task.
   const auto process = [&](VertexId& v, TaskEngine<VertexId>::Context& ctx) {
     WorkerTally& tally = tallies[ctx.thread_id()];
+    const std::span<const VertexId> row = oriented.Row(v);
     if (parts != nullptr) {
-      ctx.TouchPartition(parts->assignment[v],
-                         oriented[v].size() * sizeof(VertexId));
-    }
-    for (VertexId u : oriented[v]) {
-      if (parts != nullptr) {
-        ctx.TouchPartition(parts->assignment[u],
-                           oriented[u].size() * sizeof(VertexId));
+      const uint32_t home = parts->assignment[v];
+      cluster->ledger().Charge(home, home, row.size_bytes());
+      for (VertexId u : row) {
+        cluster->ledger().Charge(parts->assignment[u], home,
+                                 oriented.Row(u).size_bytes());
       }
-      tally.triangles += IntersectCount(oriented[v], oriented[u], &tally.ops);
+    }
+    for (VertexId u : row) {
+      tally.triangles += IntersectCount(row, oriented.Row(u), &tally.ops);
     }
   };
 

@@ -2,11 +2,48 @@
 #define GAL_TLAG_ALGOS_TRIANGLES_H_
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "graph/graph.h"
 #include "tlag/task_engine.h"
 
 namespace gal {
+
+/// The degree-oriented adjacency of vertices [begin, end), flattened:
+/// row v holds v's neighbors u with (deg(u), u) > (deg(v), v), sorted by
+/// id. Orientation makes every triangle counted exactly once and bounds
+/// out-degrees by O(sqrt(|E|)) on arbitrary graphs. The serial and task
+/// counters build it once over the whole graph, the out-of-core counter
+/// once per shard, so all three intersect the same operands.
+struct OrientedRows {
+  VertexId begin = 0;
+  std::vector<EdgeId> start;  // row v: [start[v - begin], start[v - begin + 1])
+  std::vector<VertexId> rows;
+
+  std::span<const VertexId> Row(VertexId v) const {
+    return {rows.data() + start[v - begin], rows.data() + start[v - begin + 1]};
+  }
+
+  /// Rebuilds the rows of [first, last) from `adj` (anything with
+  /// ForEachOutNeighbor: a Graph, a PinnedShard) oriented by `degrees`
+  /// (anything with Degree), reusing this object's capacity.
+  template <typename Adjacency, typename Degrees>
+  void Build(const Adjacency& adj, const Degrees& degrees, VertexId first,
+             VertexId last) {
+    begin = first;
+    start.assign(last - first + 1, 0);
+    rows.clear();
+    for (VertexId v = first; v < last; ++v) {
+      const uint32_t dv = degrees.Degree(v);
+      adj.ForEachOutNeighbor(v, [&](VertexId u) {
+        const uint32_t du = degrees.Degree(u);
+        if (du > dv || (du == dv && u > v)) rows.push_back(u);
+      });
+      start[v - first + 1] = rows.size();
+    }
+  }
+};
 
 /// Intersection-based triangle counting — the "one machine beats 1636"
 /// side of the survey's §1 anecdote. Work is Σ_v d+(v)² intersections
@@ -21,11 +58,13 @@ struct TriangleCountResult {
   TaskEngineStats task_stats;  // zeroed for the serial variant
 
   /// Simulated-cluster attribution, populated only when
-  /// TaskEngineConfig::cluster is set: every oriented adjacency row a
-  /// task intersects is charged to the row's home partition on the
-  /// runtime's ledger. `migrated_bytes` is the subset homed off the
-  /// executing worker — what a real cluster would move. Each chunk-round
-  /// closes one VirtualClock round (max worker busy + transfer time).
+  /// TaskEngineConfig::cluster is set: the task for v runs on v's home
+  /// worker (owner computes), and every oriented row it intersects is
+  /// charged on the runtime's ledger from the row's home to v's.
+  /// `migrated_bytes` is the subset homed off v's worker — what a real
+  /// cluster would move; both byte counts are independent of host
+  /// threads and stealing. Each chunk-round closes one VirtualClock
+  /// round (max worker busy + transfer time).
   uint64_t data_touched_bytes = 0;
   uint64_t migrated_bytes = 0;
   double modeled_seconds = 0.0;

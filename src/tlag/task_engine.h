@@ -80,12 +80,12 @@ struct TaskEngineConfig {
   /// spawned subtasks stay with their spawner).
   bool work_stealing = true;
   InitialDistribution distribution = InitialDistribution::kRoundRobin;
-  /// Optional simulated-cluster substrate. When set, tasks may attribute
-  /// the partition homes of the data they read via
-  /// Context::TouchPartition, charging the runtime's TrafficLedger —
-  /// putting think-like-a-graph mining on the same traffic axis as the
-  /// TLAV and dist-GNN engines. Non-owning; the engine never mutates the
-  /// runtime beyond ledger charges.
+  /// Optional simulated-cluster substrate. The engine itself never
+  /// touches it; a task algorithm that honours it (TaskTriangleCount)
+  /// runs each vertex's task on the vertex's home worker and charges the
+  /// rows it reads to the runtime's TrafficLedger — putting
+  /// think-like-a-graph mining on the same traffic axis as the TLAV and
+  /// dist-GNN engines. Non-owning.
   ClusterRuntime* cluster = nullptr;
   /// Shared fault-tolerance schedule (cluster/fault.h). The task engine
   /// itself is one work-stealing pass with no rounds; TaskTriangleCount
@@ -141,25 +141,6 @@ class TaskEngine {
     /// How many workers are parked right now (0..num_threads-1).
     uint32_t ParkedWorkers() const {
       return engine_->parked_.load(std::memory_order_relaxed);
-    }
-    /// Simulated-cluster attribution: this task read `bytes` of data
-    /// whose home partition is `home_worker`. Host thread t executes on
-    /// simulated worker t mod W; a read from the executing worker's own
-    /// partition books as local on the runtime's ledger, a read of rows
-    /// homed elsewhere is charged as cross-worker traffic — the data
-    /// movement a steal (or a cross-partition probe) would really cost.
-    /// No-op when the engine has no cluster configured.
-    void TouchPartition(uint32_t home_worker, uint64_t bytes) {
-      ClusterRuntime* cluster = engine_->config_.cluster;
-      if (cluster == nullptr) return;
-      cluster->ledger().Charge(home_worker,
-                               thread_id_ % cluster->num_workers(), bytes);
-    }
-    /// The simulated worker this task executes on (thread id mod cluster
-    /// width), or 0 without a cluster.
-    uint32_t executing_worker() const {
-      ClusterRuntime* cluster = engine_->config_.cluster;
-      return cluster == nullptr ? 0 : thread_id_ % cluster->num_workers();
     }
 
    private:

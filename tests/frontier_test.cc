@@ -311,6 +311,30 @@ TEST(FrontierTraversalTest, SsspMatchesDijkstra) {
   EXPECT_EQ(frontier.distance, baseline);
 }
 
+TEST(FrontierTraversalTest, MaxStepsBoundsEveryTraversal) {
+  // The shared step loop owns the bound: each traversal stops after
+  // max_steps steps with the partial result of those steps.
+  Graph g = Path(8);
+  FrontierEngineOptions options;
+  options.num_workers = 2;
+  options.max_steps = 2;
+  const FrontierBfsResult bfs = FrontierBfs(g, 0, options);
+  ASSERT_TRUE(bfs.status.ok());
+  EXPECT_EQ(bfs.stats.steps, 2u);
+  std::vector<uint32_t> expected(8, kFrontierUnreachable);
+  expected[0] = 0;
+  expected[1] = 1;
+  expected[2] = 2;
+  EXPECT_EQ(bfs.distance, expected);
+  const FrontierSsspResult sssp =
+      FrontierSssp(g, 0, &SyntheticEdgeWeight, options);
+  ASSERT_TRUE(sssp.status.ok());
+  EXPECT_EQ(sssp.stats.steps, 2u);
+  const FrontierWccResult wcc = FrontierWcc(g, options);
+  EXPECT_EQ(wcc.stats.steps, 2u);
+  EXPECT_GT(wcc.num_components, 1u);
+}
+
 TEST(FrontierTraversalTest, BfsRejectsOutOfRangeSource) {
   Graph g = Path(10);
   FrontierBfsResult r = FrontierBfs(g, 10, {});

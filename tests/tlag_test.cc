@@ -417,6 +417,29 @@ TEST(TrianglesTest, TaskMatchesSerial) {
   EXPECT_EQ(task.intersection_ops, serial.intersection_ops);
 }
 
+TEST(TrianglesTest, ClusterAttributionIndependentOfThreads) {
+  // Owner computes: a vertex's task is charged to its home worker, so the
+  // ledger does not depend on which host thread ran it or on stealing.
+  Graph g = Rmat(10, 8, 7);
+  std::vector<uint64_t> migrated;
+  std::vector<uint64_t> touched;
+  for (uint32_t threads : {1u, 2u, 4u}) {
+    ClusterRuntime runtime(ClusterOptions{4, {}});
+    TaskEngineConfig config;
+    config.num_threads = threads;
+    config.cluster = &runtime;
+    config.faults = FaultPlan();
+    const TriangleCountResult r = TaskTriangleCount(g, config);
+    migrated.push_back(r.migrated_bytes);
+    touched.push_back(r.data_touched_bytes);
+  }
+  EXPECT_GT(migrated[0], 0u);
+  EXPECT_EQ(migrated[1], migrated[0]);
+  EXPECT_EQ(migrated[2], migrated[0]);
+  EXPECT_EQ(touched[1], touched[0]);
+  EXPECT_EQ(touched[2], touched[0]);
+}
+
 TEST(TrianglesTest, CompleteAndBipartite) {
   EXPECT_EQ(SerialTriangleCount(Complete(20)).triangles, 1140u);
   EXPECT_EQ(SerialTriangleCount(Grid(8, 8)).triangles, 0u);
