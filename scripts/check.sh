@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 verification plus a ThreadSanitizer pass over the concurrent
-# machinery (pipeline executor, thread pool, task engine). Run from
-# anywhere; builds land in build/ and build-tsan/.
+# Tier-1 verification, an AddressSanitizer+UndefinedBehaviorSanitizer
+# pass over the whole suite, and a ThreadSanitizer pass over the
+# concurrent machinery (pipeline executor, thread pool, task engine).
+# Run from anywhere; builds land in build/, build-asan/ and build-tsan/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -11,6 +12,21 @@ echo "== tier-1: build + full test suite =="
 cmake -B build -S .
 cmake --build build -j "${JOBS}"
 (cd build && ctest --output-on-failure -j "${JOBS}")
+
+echo
+echo "== asan+ubsan: full test suite and examples, timing tests excluded =="
+# Out-of-bounds and use-after-free reads, undefined arithmetic, and the
+# libstdc++ container bound checks (_GLIBCXX_ASSERTIONS). Any report
+# aborts its test. The wall-clock-sensitive `timing` tests are skipped:
+# instrumentation slows them past their speedup assertions.
+cmake -B build-asan -S . \
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS" \
+    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
+examples=()
+for src in examples/*.cc; do examples+=("$(basename "${src}" .cc)"); done
+cmake --build build-asan --target gal_tests "${examples[@]}" -j "${JOBS}"
+(cd build-asan && ctest -LE timing --output-on-failure -j "${JOBS}")
 
 echo
 echo "== tsan: pipeline / threadpool / task-engine / tensor-kernel tests =="
@@ -45,9 +61,11 @@ cmake --build build-tsan --target gal_tests -j "${JOBS}"
 # the shared state TSan watches there. TrianglesTest.* runs the task
 # triangle counter at several thread counts: every task thread reads the
 # shared OrientedRows, bumps its own padded tally, and charges the
-# cluster ledger concurrently.
+# cluster ledger concurrently. MniTest.* runs MNI's existence checks from
+# ParallelForShards threads, each with its own buffers for the shared
+# plan extension step.
 ./build-tsan/tests/gal_tests \
-    --gtest_filter='PipelineTest.*:ThreadPoolTest.*:TaskEngineTest.*:TrianglesTest.*:WorkDequeTest.*:MatchDeterminismTest.*:KernelContextTest.*:KernelParityTest.*:TensorTest.*:MatrixTest.*:SparseTest.*:CoreBudgetTest.*:TrafficLedgerTest.*:VirtualClockTest.*:ClusterRuntimeTest.*:ExchangeChannelTest.*:ClusterExchangeTest.*:TlavEngineTest.Mirroring*:FrontierBitmapTest.*:SlidingQueueTest.*:VertexFrontierTest.*:Workers/FrontierParityTest.*:FrontierTraversalTest.*:GraphReorderTest.*:ReorderSimdParityTest.*:IntersectTest.*:SimdTest.*:CompressedCsrTest.*:DistGcnTest.OverlapReducesSimulatedTime:DistGcnTest.ReportExposesTracesAndOverlapOccupancy:DistGcnTest.CommChannelsRelieveCommBoundOverlap'
+    --gtest_filter='PipelineTest.*:ThreadPoolTest.*:TaskEngineTest.*:TrianglesTest.*:MniTest.*:WorkDequeTest.*:MatchDeterminismTest.*:KernelContextTest.*:KernelParityTest.*:TensorTest.*:MatrixTest.*:SparseTest.*:CoreBudgetTest.*:TrafficLedgerTest.*:VirtualClockTest.*:ClusterRuntimeTest.*:ExchangeChannelTest.*:ClusterExchangeTest.*:TlavEngineTest.Mirroring*:FrontierBitmapTest.*:SlidingQueueTest.*:VertexFrontierTest.*:Workers/FrontierParityTest.*:FrontierTraversalTest.*:GraphReorderTest.*:ReorderSimdParityTest.*:IntersectTest.*:SimdTest.*:CompressedCsrTest.*:DistGcnTest.OverlapReducesSimulatedTime:DistGcnTest.ReportExposesTracesAndOverlapOccupancy:DistGcnTest.CommChannelsRelieveCommBoundOverlap'
 
 echo
 echo "== ooc: out-of-core shard substrate (ctest label) =="

@@ -7,19 +7,17 @@
 #include "common/logging.h"
 #include "common/threadpool.h"
 #include "match/candidates.h"
+#include "match/plan.h"
 
 namespace gal {
 namespace {
 
 /// A matching order rooted at a chosen pattern vertex: BFS from it, so
-/// every later vertex joins the mapped prefix.
-struct RootedPlan {
-  std::vector<VertexId> order;                       // pattern vertices
-  std::vector<std::vector<uint32_t>> backward;       // positions
-};
-
-RootedPlan BuildRootedPlan(const Graph& pattern, VertexId root) {
-  RootedPlan plan;
+/// every later vertex joins the mapped prefix. MNI needs neither
+/// symmetry restrictions nor induced probes, so only the order and the
+/// backward neighbours are filled in.
+MatchPlan BuildRootedPlan(const Graph& pattern, VertexId root) {
+  MatchPlan plan;
   const VertexId k = pattern.NumVertices();
   std::vector<uint8_t> placed(k, 0);
   std::deque<VertexId> queue{root};
@@ -38,44 +36,40 @@ RootedPlan BuildRootedPlan(const Graph& pattern, VertexId root) {
   GAL_CHECK(plan.order.size() == k) << "FSM patterns must be connected";
   std::vector<uint32_t> position(k);
   for (uint32_t i = 0; i < k; ++i) position[plan.order[i]] = i;
-  plan.backward.resize(k);
+  plan.backward_neighbors.resize(k);
+  plan.backward_nonneighbors.resize(k);
   for (uint32_t i = 0; i < k; ++i) {
     pattern.ForEachOutNeighbor(plan.order[i], [&](VertexId w) {
-      if (position[w] < i) plan.backward[i].push_back(position[w]);
+      if (position[w] < i) plan.backward_neighbors[i].push_back(position[w]);
     });
   }
   return plan;
 }
 
-/// True iff a match exists extending `mapped` (positions [0, depth)).
-bool ExistsMatch(const Graph& data, const RootedPlan& plan,
-                 const CandidateSets& candidates,
-                 std::vector<VertexId>& mapped, uint32_t depth) {
+/// Per-thread search state: the partial mapping, one local-candidate
+/// buffer per depth (each is looped over across the recursion) and one
+/// decode scratch (consumed inside PlanLocalCandidates).
+struct ExistsState {
+  std::vector<VertexId> mapped;
+  std::vector<std::vector<VertexId>> joined_at;
+  NeighborScratch scratch;
+};
+
+/// True iff a match exists extending `state.mapped` (positions
+/// [0, depth)).
+bool ExistsMatch(const Graph& data, const MatchPlan& plan,
+                 const CandidateSets& candidates, ExistsState& state,
+                 uint32_t depth) {
   if (depth == plan.order.size()) return true;
-  const std::vector<VertexId>& cand = candidates.candidates[plan.order[depth]];
-  const std::vector<uint32_t>& backward = plan.backward[depth];
-  GAL_CHECK(!backward.empty());
-  // Cursor, not a decoded row: the recursion below reuses any shared
-  // scratch, while cursor state is self-contained and stays valid.
-  const VertexId anchor = mapped[backward[0]];
-  for (Graph::NeighborCursor cur = data.OutNeighbors(anchor); cur.Valid();
-       cur.Next()) {
-    const VertexId v = cur.Get();
-    if (!std::binary_search(cand.begin(), cand.end(), v)) continue;
-    bool ok = true;
-    for (size_t b = 1; b < backward.size(); ++b) {
-      if (!data.HasEdge(mapped[backward[b]], v)) {
-        ok = false;
-        break;
-      }
-    }
-    if (!ok) continue;
-    if (std::find(mapped.begin(), mapped.begin() + depth, v) !=
-        mapped.begin() + depth) {
+  std::vector<VertexId>& joined = state.joined_at[depth];
+  PlanLocalCandidates(data, plan, candidates, state.mapped, depth, joined,
+                      state.scratch);
+  for (VertexId v : joined) {
+    if (!PlanAdmits(data, plan, state.mapped, depth, v, /*induced=*/false)) {
       continue;
     }
-    mapped[depth] = v;
-    if (ExistsMatch(data, plan, candidates, mapped, depth + 1)) return true;
+    state.mapped[depth] = v;
+    if (ExistsMatch(data, plan, candidates, state, depth + 1)) return true;
   }
   return false;
 }
@@ -95,19 +89,21 @@ MniResult MniSupport(const Graph& data, const Graph& pattern,
 
   uint32_t support = data.NumVertices();
   for (VertexId u = 0; u < k; ++u) {
-    const RootedPlan plan = BuildRootedPlan(pattern, u);
+    const MatchPlan plan = BuildRootedPlan(pattern, u);
     const std::vector<VertexId>& cand = candidates.candidates[u];
     std::atomic<uint32_t> images{0};
     std::atomic<uint32_t> processed{0};
     std::atomic<bool> stop{false};
 
     pool.ParallelForShards(cand.size(), [&](size_t begin, size_t end) {
-      std::vector<VertexId> mapped(k, kInvalidVertex);
+      ExistsState state;
+      state.mapped.assign(k, kInvalidVertex);
+      state.joined_at.resize(k);
       for (size_t i = begin; i < end; ++i) {
         if (stop.load(std::memory_order_relaxed)) break;
         checks.fetch_add(1, std::memory_order_relaxed);
-        mapped[0] = cand[i];
-        if (k == 1 || ExistsMatch(data, plan, candidates, mapped, 1)) {
+        state.mapped[0] = cand[i];
+        if (ExistsMatch(data, plan, candidates, state, 1)) {
           images.fetch_add(1, std::memory_order_relaxed);
         }
         const uint32_t done =

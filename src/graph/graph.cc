@@ -98,10 +98,12 @@ Result<Graph> Graph::FromEdges(VertexId num_vertices, std::vector<Edge> edges,
 
 bool Graph::HasEdge(VertexId u, VertexId v) const {
   if (compressed_ != nullptr) {
-    // Stream the block with an early exit on the sorted order. For the
-    // probe-heavy callers (ColorBound, FSM) this is O(d) instead of
-    // O(log d), but those all sit behind intersect.h scratch paths now;
-    // the remaining HasEdge uses are cold.
+    // Stream the block with an early exit on the sorted order: O(d)
+    // instead of O(log d). The hot callers are the matchers' shared
+    // extension step in match/plan.cc: PlanLocalCandidates probes every
+    // backward neighbour after the first, and PlanAdmits the induced
+    // non-neighbours, once per candidate. Folding those probes into
+    // intersections is the fix for their cost on this layout.
     for (NeighborCursor c = OutNeighbors(u); c.Valid(); c.Next()) {
       if (c.Get() >= v) return c.Get() == v;
     }

@@ -12,9 +12,11 @@ namespace gal {
 /// BFS (join-style) subgraph matching: partial matches are materialized
 /// level by level, one join per plan position — the execution model of
 /// the GPU systems the survey covers (GSI, cuTS), which trade memory for
-/// coalesced access. The memory policy mirrors the systems' responses
-/// to frontier explosion: strict failure, host-memory spill (PBE/VSGM/
-/// G2-AIMD partition-and-buffer), or DFS fallback (EGSM hybrid).
+/// coalesced access. It is a mode of BfsExtensionEngine: each level runs
+/// the plan's extension step (PlanLocalCandidates + PlanAdmits), and the
+/// engine's memory policy mirrors the systems' responses to frontier
+/// explosion: strict failure, host-memory spill (PBE/VSGM/G2-AIMD
+/// partition-and-buffer), or DFS fallback (EGSM hybrid).
 struct BfsMatchOptions {
   MatchOptions match;
   uint64_t memory_budget_bytes = 0;  // 0 = unlimited

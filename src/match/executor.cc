@@ -31,10 +31,10 @@ struct SearchShared {
 /// Per-thread DFS state: the partial mapping (by plan position).
 struct SearchState {
   std::vector<VertexId> mapped;
-  // cand ∩ N(anchor) per plan position. The loop over it spans the
+  // Local candidates per plan position. The loop over them spans the
   // recursive extend calls, so each depth owns its buffer; the decode
-  // scratch is fully consumed inside IntersectInto (no recursion there),
-  // so one per state suffices.
+  // scratch is fully consumed inside PlanLocalCandidates (no recursion
+  // there), so one per state suffices.
   std::vector<std::vector<VertexId>> joined_at;
   NeighborScratch scratch;
 };
@@ -47,23 +47,6 @@ using PrefixTask = std::vector<VertexId>;
 
 using MatchContext = TaskEngine<PrefixTask>::Context;
 
-bool RestrictionsOk(const SearchShared& shared, const SearchState& state,
-                    uint32_t position, VertexId v) {
-  for (const auto& [lo, hi] : shared.plan->order_restrictions) {
-    const uint32_t later = std::max(lo, hi);
-    if (later != position) continue;
-    const uint32_t earlier = std::min(lo, hi);
-    const VertexId earlier_v = state.mapped[earlier];
-    // Restriction is (lo < hi) in *mapped data vertex* order.
-    if (later == hi) {
-      if (!(earlier_v < v)) return false;
-    } else {
-      if (!(v < earlier_v)) return false;
-    }
-  }
-  return true;
-}
-
 void Backtrack(SearchShared& shared, SearchState& state, uint32_t position,
                MatchContext& ctx);
 
@@ -73,15 +56,9 @@ void Backtrack(SearchShared& shared, SearchState& state, uint32_t position,
 void TryVertex(SearchShared& shared, SearchState& state, uint32_t position,
                VertexId v, MatchContext& ctx) {
   shared.search_nodes.fetch_add(1, std::memory_order_relaxed);
-  // Injectivity.
-  for (uint32_t j = 0; j < position; ++j) {
-    if (state.mapped[j] == v) return;
-  }
-  if (!RestrictionsOk(shared, state, position, v)) return;
-  if (shared.induced) {
-    for (uint32_t j : shared.plan->backward_nonneighbors[position]) {
-      if (shared.data->HasEdge(state.mapped[j], v)) return;
-    }
+  if (!PlanAdmits(*shared.data, *shared.plan, state.mapped, position, v,
+                  shared.induced)) {
+    return;
   }
   state.mapped[position] = v;
   Backtrack(shared, state, position + 1, ctx);
@@ -91,7 +68,6 @@ void Backtrack(SearchShared& shared, SearchState& state, uint32_t position,
                MatchContext& ctx) {
   if (shared.LimitReached()) return;
   const MatchPlan& plan = *shared.plan;
-  const Graph& data = *shared.data;
   const uint32_t k = static_cast<uint32_t>(plan.order.size());
 
   if (position == k) {
@@ -102,10 +78,6 @@ void Backtrack(SearchShared& shared, SearchState& state, uint32_t position,
     }
     return;
   }
-
-  const std::vector<uint32_t>& backward = plan.backward_neighbors[position];
-  const std::vector<VertexId>& cand =
-      shared.candidates->candidates[plan.order[position]];
 
   // Adaptive prefix splitting (the STMatch/T-DFS mechanism): at shallow
   // positions, when thieves are parked hungry, ship the extension as an
@@ -125,32 +97,14 @@ void Backtrack(SearchShared& shared, SearchState& state, uint32_t position,
     TryVertex(shared, state, position, v, ctx);
   };
 
-  if (backward.empty()) {
-    for (VertexId v : cand) {
-      if (shared.LimitReached()) return;
-      extend(v);
-    }
-    return;
-  }
-
-  // Local candidates: cand ∩ N(anchor) via the shared adaptive
-  // intersection (merge or gallop by skew) instead of scanning every
-  // anchor neighbor through binary_search. Members arrive ascending, so
-  // extend() fires on the same vertices in the same order and
-  // search_nodes stays deterministic.
-  const VertexId anchor = state.mapped[backward[0]];
+  // Local candidates arrive ascending, so extend() fires on the same
+  // vertices in the same order and search_nodes stays deterministic.
   std::vector<VertexId>& joined = state.joined_at[position];
-  IntersectInto(cand, data, anchor, joined, state.scratch);
+  PlanLocalCandidates(*shared.data, plan, *shared.candidates, state.mapped,
+                      position, joined, state.scratch);
   for (VertexId v : joined) {
     if (shared.LimitReached()) return;
-    bool joins = true;
-    for (size_t b = 1; b < backward.size(); ++b) {
-      if (!data.HasEdge(state.mapped[backward[b]], v)) {
-        joins = false;
-        break;
-      }
-    }
-    if (joins) extend(v);
+    extend(v);
   }
 }
 

@@ -61,8 +61,9 @@ struct MatchResult {
 
 /// Depth-first backtracking subgraph isomorphism (the STMatch/T-DFS-
 /// style kernel): per-root tasks on the work-stealing engine, O(depth)
-/// state per worker. Finds *induced-free* (standard non-induced)
-/// matches: all query edges must exist; extra data edges are fine.
+/// state per worker. Every query edge must map to a data edge; extra
+/// data edges are allowed unless MatchOptions::induced is set, which
+/// also requires every query non-edge to map to a data non-edge.
 MatchResult SubgraphMatch(const Graph& data, const Graph& query,
                           const MatchOptions& options = {},
                           bool collect = false);

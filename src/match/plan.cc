@@ -145,4 +145,44 @@ MatchPlan BuildPlan(const Graph& query, const CandidateSets& candidates,
   return plan;
 }
 
+void PlanLocalCandidates(const Graph& data, const MatchPlan& plan,
+                         const CandidateSets& candidates,
+                         std::span<const VertexId> mapped, uint32_t position,
+                         std::vector<VertexId>& out, NeighborScratch& scratch) {
+  const std::vector<VertexId>& cand =
+      candidates.candidates[plan.order[position]];
+  const std::vector<uint32_t>& backward = plan.backward_neighbors[position];
+  GAL_CHECK(!backward.empty()) << "position " << position
+                               << " has no backward neighbour";
+  IntersectInto(cand, data, mapped[backward[0]], out, scratch);
+  // The other backward neighbours are probed one candidate at a time.
+  std::erase_if(out, [&](VertexId v) {
+    for (size_t b = 1; b < backward.size(); ++b) {
+      if (!data.HasEdge(mapped[backward[b]], v)) return true;
+    }
+    return false;
+  });
+}
+
+bool PlanAdmits(const Graph& data, const MatchPlan& plan,
+                std::span<const VertexId> mapped, uint32_t position,
+                VertexId v, bool induced) {
+  for (uint32_t j = 0; j < position; ++j) {
+    if (mapped[j] == v) return false;
+  }
+  // Restriction (lo, hi) means mapped[lo] < mapped[hi]; it is checked
+  // once, at whichever of its two positions is filled later.
+  for (const auto& [lo, hi] : plan.order_restrictions) {
+    if (std::max(lo, hi) != position) continue;
+    const VertexId earlier = mapped[std::min(lo, hi)];
+    if (hi == position ? !(earlier < v) : !(v < earlier)) return false;
+  }
+  if (induced) {
+    for (uint32_t j : plan.backward_nonneighbors[position]) {
+      if (data.HasEdge(mapped[j], v)) return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace gal

@@ -1,10 +1,12 @@
 #ifndef GAL_MATCH_PLAN_H_
 #define GAL_MATCH_PLAN_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
 #include "graph/graph.h"
+#include "graph/intersect.h"
 #include "match/candidates.h"
 #include "match/pattern.h"
 
@@ -50,6 +52,34 @@ struct MatchPlan {
 /// are folded in so each distinct embedding is produced once.
 MatchPlan BuildPlan(const Graph& query, const CandidateSets& candidates,
                     OrderStrategy strategy, bool use_symmetry_breaking);
+
+// --- the extension step -----------------------------------------------------
+//
+// Every plan-driven matcher (the DFS executor, the BFS join, MNI's
+// existence checks) grows a partial match one plan position at a time
+// with the same two calls: PlanLocalCandidates yields the vertices that
+// join every backward neighbour, and PlanAdmits validates one of them.
+// `mapped[j]` is the data vertex at plan position j for j < position.
+
+/// Replaces `out` with the local candidates of plan position `position`:
+/// C(order[position]) ∩ N(mapped[backward[0]]) through the adaptive
+/// intersection, minus members lacking an edge to the image of any other
+/// backward neighbour. Ascending, so callers visit candidates in one
+/// deterministic order. `position` must be > 0: the roots are C(order[0])
+/// itself. `scratch` is not read after the call returns, so a recursive
+/// caller needs one `out` per depth but only one `scratch`.
+void PlanLocalCandidates(const Graph& data, const MatchPlan& plan,
+                         const CandidateSets& candidates,
+                         std::span<const VertexId> mapped, uint32_t position,
+                         std::vector<VertexId>& out, NeighborScratch& scratch);
+
+/// True iff data vertex `v` may take plan position `position`: it is not
+/// already mapped (injectivity), it satisfies the plan's symmetry
+/// restrictions ending at `position`, and, when `induced`, it has no
+/// edge to the image of any backward non-neighbour.
+bool PlanAdmits(const Graph& data, const MatchPlan& plan,
+                std::span<const VertexId> mapped, uint32_t position,
+                VertexId v, bool induced);
 
 }  // namespace gal
 

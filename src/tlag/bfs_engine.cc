@@ -33,6 +33,11 @@ BfsEngineStats BfsExtensionEngine::Run(const std::vector<VertexId>& roots,
   uint64_t current_bytes = levels.WindowSize() * EmbeddingBytes(1);
   stats.peak_materialized = levels.WindowSize();
   stats.peak_bytes = current_bytes;
+  if (target_size == 1) {
+    // The roots already have the target size.
+    for (size_t i = 0; i < levels.WindowSize(); ++i) output(levels.At(i));
+    return stats;
+  }
 
   std::vector<VertexId> candidates;
   for (uint32_t size = 1; size < target_size; ++size) {

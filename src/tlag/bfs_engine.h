@@ -65,7 +65,8 @@ class BfsExtensionEngine {
   explicit BfsExtensionEngine(BfsEngineConfig config) : config_(config) {}
 
   /// Grows from `roots` (size-1 embeddings) to `target_size`, invoking
-  /// `output` on every embedding that reaches it. Returns run stats;
+  /// `output` on every embedding that reaches it (the roots themselves
+  /// when `target_size` is 1). Returns run stats;
   /// with kStrict policy the run stops early once the budget trips
   /// (stats.budget_exceeded is set).
   BfsEngineStats Run(const std::vector<VertexId>& roots, uint32_t target_size,

@@ -354,12 +354,30 @@ TEST(RefineTest, ReachesFixpointAndIsSound) {
 // --- BFS / hybrid matching ------------------------------------------------------
 
 TEST(BfsMatchTest, AgreesWithDfsExecutor) {
+  // Both executors run the plan's one extension step, so they must agree
+  // on the matches and on every candidate tried, under every option that
+  // step reads.
   Graph data = ErdosRenyi(100, 0.08, 17);
-  for (const Graph& q :
-       {TrianglePattern(), CyclePattern(4), DiamondPattern()}) {
-    MatchResult dfs = SubgraphMatch(data, q);
-    BfsMatchResult bfs = BfsSubgraphMatch(data, q);
-    EXPECT_EQ(bfs.stats.matches, dfs.stats.matches);
+  for (bool symmetry_breaking : {false, true}) {
+    for (bool induced : {false, true}) {
+      MatchOptions opt;
+      opt.symmetry_breaking = symmetry_breaking;
+      opt.induced = induced;
+      BfsMatchOptions bfs_opt;
+      bfs_opt.match = opt;
+      for (const Graph& q : {TrianglePattern(), CyclePattern(4),
+                             DiamondPattern(), CliquePattern(4),
+                             CliquePattern(1)}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "k=" << q.NumVertices() << " edges=" << q.NumEdges()
+                     << " symmetry_breaking=" << symmetry_breaking
+                     << " induced=" << induced);
+        MatchResult dfs = SubgraphMatch(data, q, opt);
+        BfsMatchResult bfs = BfsSubgraphMatch(data, q, bfs_opt);
+        EXPECT_EQ(bfs.stats.matches, dfs.stats.matches);
+        EXPECT_EQ(bfs.stats.search_nodes, dfs.stats.search_nodes);
+      }
+    }
   }
 }
 
@@ -414,6 +432,23 @@ TEST(BfsMatchTest, SpillCompletesWithAccounting) {
   BfsMatchResult spill = BfsSubgraphMatch(data, CyclePattern(4), opt);
   EXPECT_EQ(spill.stats.matches, full.stats.matches);
   EXPECT_GT(spill.spilled_bytes, 0u);
+}
+
+TEST(BfsMatchTest, SpillKeepsResidentBytesWithinBudget) {
+  // Regression: the join charged spilled partials to the resident bytes
+  // as well as to spilled_bytes, so the spill policy's peak was the
+  // unbudgeted peak. Spilled partials live in host memory.
+  Graph data = ErdosRenyi(100, 0.1, 31);
+  BfsMatchResult full = BfsSubgraphMatch(data, CyclePattern(4));
+  BfsMatchOptions opt;
+  opt.memory_budget_bytes = 4096;
+  opt.policy = MemoryPolicy::kSpill;
+  BfsMatchResult spill = BfsSubgraphMatch(data, CyclePattern(4), opt);
+  EXPECT_EQ(spill.stats.matches, full.stats.matches);
+  EXPECT_GT(spill.spilled_bytes, 0u);
+  // At most the one partial whose admission check tripped is over.
+  const uint64_t slack = 4 * sizeof(VertexId) + sizeof(std::vector<VertexId>);
+  EXPECT_LE(spill.peak_bytes, opt.memory_budget_bytes + slack);
 }
 
 // --- online server -----------------------------------------------------------------

@@ -306,6 +306,17 @@ TEST(BfsEngineTest, EnumeratesTrianglesOnce) {
   EXPECT_FALSE(stats.budget_exceeded);
 }
 
+TEST(BfsEngineTest, TargetSizeOneOutputsEveryRoot) {
+  // The roots already have the target size, so each is an output.
+  Graph g = Complete(4);
+  BfsExtensionEngine engine(BfsEngineConfig{});
+  std::vector<Embedding> outputs;
+  engine.Run(AllVertices(g), 1, CliqueExtend(g),
+             [&outputs](const Embedding& e) { outputs.push_back(e); });
+  EXPECT_EQ(outputs,
+            (std::vector<Embedding>{{0}, {1}, {2}, {3}}));
+}
+
 TEST(BfsEngineTest, PeakMemoryGrowsWithLevelWidth) {
   Graph g = Complete(14);
   BfsExtensionEngine engine(BfsEngineConfig{});
